@@ -477,6 +477,18 @@ type repair_sample = {
   rp_wall_s : float;
 }
 
+(* One row of the SAT-sweeping benchmark (BENCH.json "sweep"): the sweep
+   and the equivalence check of its result against the input. *)
+type sweep_sample = {
+  sw_name : string;
+  sw_gates : int;
+  sw_swept : int;
+  sw_sat_calls : int;
+  sw_sweep_s : float;
+  sw_cec_s : float;
+  sw_verdict : string;
+}
+
 (* ------------------------------------------------------------------ *)
 (* BENCH.json (schema documented in EXPERIMENTS.md)                    *)
 (* ------------------------------------------------------------------ *)
@@ -498,11 +510,11 @@ let json_escape s =
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
 
-let write_bench_json path ~mode ~seed ~kernels ~loops ~tiles ~repair ~gc
-    ~suite_wall_s =
+let write_bench_json path ~mode ~seed ~kernels ~loops ~tiles ~repair ~sweep
+    ~gc ~suite_wall_s =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"lsml-bench/4\",\n";
+  Buffer.add_string buf "  \"schema\": \"lsml-bench/5\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
   Buffer.add_string buf "  \"kernels\": [\n";
@@ -551,6 +563,20 @@ let write_bench_json path ~mode ~seed ~kernels ~loops ~tiles ~repair ~gc
            (if i = List.length repair - 1 then "" else ",")))
     repair;
   Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf "  \"sweep\": [\n";
+  List.iteri
+    (fun i s ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"circuit\": \"%s\", \"gates\": %d, \"swept\": %d, \
+            \"sat_calls\": %d, \"sweep_s\": %s, \"cec_s\": %s, \
+            \"verdict\": \"%s\"}%s\n"
+           (json_escape s.sw_name) s.sw_gates s.sw_swept s.sw_sat_calls
+           (json_float s.sw_sweep_s) (json_float s.sw_cec_s)
+           (json_escape s.sw_verdict)
+           (if i = List.length sweep - 1 then "" else ",")))
+    sweep;
+  Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"gc\": [\n";
   List.iteri
     (fun i g ->
@@ -576,7 +602,7 @@ let write_bench_json path ~mode ~seed ~kernels ~loops ~tiles ~repair ~gc
 (* SAT sweeping: exact node reduction on contest-scale AIGs            *)
 (* ------------------------------------------------------------------ *)
 
-let sat_sweep_perf () =
+let sat_sweep_perf ~quick =
   Contest.Report.heading "SAT sweeping (exact reduction, contest-scale AIGs)";
   (* Two flavours of redundancy: a cone muxed with its own balanced
      rewrite (the branches are equal, so the mux must collapse), and a
@@ -602,7 +628,7 @@ let sat_sweep_perf () =
   (* A contest-scale circuit of the kind the solvers actually emit: a
      bagged forest on a wide logic-cone benchmark, thousands of AND
      nodes with plenty of cross-tree sharing for the sweep to find. *)
-  let forest_circuit =
+  let forest_circuit () =
     let b = Benchgen.Suite.benchmark 52 in
     let inst =
       Benchgen.Suite.instantiate ~sizes:Benchgen.Suite.reduced_sizes ~seed:1 b
@@ -613,34 +639,63 @@ let sat_sweep_perf () =
          inst.Benchgen.Suite.train)
   in
   let cases =
-    [ ("mux-of-rewrites-24in", mux_of_rewrites ~seed:7 ~num_inputs:24);
-      ( "cone-100in",
-        Benchgen.Logic_bench.cone ~seed:1052 ~num_inputs:100 ~num_nodes:3000
-          () );
-      ("forest-ex52", forest_circuit) ]
+    (if quick then []
+     else
+       [ ("mux-of-rewrites-24in", fun () -> mux_of_rewrites ~seed:7 ~num_inputs:24);
+         ( "cone-100in",
+           fun () ->
+             Benchgen.Logic_bench.cone ~seed:1052 ~num_inputs:100
+               ~num_nodes:3000 () ) ])
+    @ [ ("forest-ex52", forest_circuit) ]
   in
-  let rows =
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let samples =
     List.map
-      (fun (name, g) ->
-        let t0 = Unix.gettimeofday () in
-        let swept, st = Cec.sat_sweep g in
-        let dt = Unix.gettimeofday () -. t0 in
-        (* The sweep must be exact: equality is SAT-checked right here. *)
-        (match Cec.equivalent g swept with
-        | Cec.Proved -> ()
-        | Cec.Counterexample _ | Cec.Counterexample_at _ | Cec.Unknown _ ->
-            failwith (name ^ ": sweep result not proved equivalent"));
-        [ name;
-          string_of_int st.Cec.nodes_before;
-          string_of_int st.Cec.nodes_after;
-          string_of_int (st.Cec.nodes_before - st.Cec.nodes_after);
-          string_of_int st.Cec.sat_calls;
-          Printf.sprintf "%.2f" dt ])
+      (fun (name, build) ->
+        let g = build () in
+        let (swept, st), sweep_s = time (fun () -> Cec.sat_sweep g) in
+        (* The sweep must be exact: equality is SAT-checked right here, and
+           the check is timed — a refutation is a bug, [Unknown] a
+           regression the BENCH row records. *)
+        let verdict, cec_s = time (fun () -> Cec.equivalent g swept) in
+        let verdict =
+          match verdict with
+          | Cec.Proved -> "proved"
+          | Cec.Unknown _ -> "unknown"
+          | Cec.Counterexample _ | Cec.Counterexample_at _ ->
+              failwith (name ^ ": sweep result refuted by CEC")
+        in
+        {
+          sw_name = name;
+          sw_gates = st.Cec.nodes_before;
+          sw_swept = st.Cec.nodes_after;
+          sw_sat_calls = st.Cec.sat_calls;
+          sw_sweep_s = sweep_s;
+          sw_cec_s = cec_s;
+          sw_verdict = verdict;
+        })
       cases
   in
   Contest.Report.table
-    ~header:[ "circuit"; "gates"; "swept"; "saved"; "sat calls"; "wall (s)" ]
-    rows
+    ~header:
+      [ "circuit"; "gates"; "swept"; "saved"; "sat calls"; "wall (s)";
+        "cec (s)"; "verdict" ]
+    (List.map
+       (fun s ->
+         [ s.sw_name;
+           string_of_int s.sw_gates;
+           string_of_int s.sw_swept;
+           string_of_int (s.sw_gates - s.sw_swept);
+           string_of_int s.sw_sat_calls;
+           Printf.sprintf "%.2f" s.sw_sweep_s;
+           Printf.sprintf "%.2f" s.sw_cec_s;
+           s.sw_verdict ])
+       samples);
+  samples
 
 (* ------------------------------------------------------------------ *)
 (* CEGIS repair loop: iterations, counterexamples and wall per benchmark *)
@@ -804,21 +859,21 @@ let () =
     let repair_rows, gc_repair =
       with_gc "repair" (fun () -> repair_bench ~quick ())
     in
+    let sweep_rows, gc_sweep =
+      with_gc "sweep" (fun () -> sat_sweep_perf ~quick)
+    in
     let suite_wall_s, gc_suite =
       with_gc "suite" (fun () ->
-          if quick then quick_suite_wall ()
-          else begin
-            sat_sweep_perf ();
-            parallel_scaling ~jobs ()
-          end)
+          if quick then quick_suite_wall () else parallel_scaling ~jobs ())
     in
-    let gc = [ gc_kernels; gc_loops; gc_repair; gc_suite ] in
+    let gc = [ gc_kernels; gc_loops; gc_repair; gc_sweep; gc_suite ] in
     gc_section gc;
     Option.iter
       (fun path ->
         write_bench_json path
           ~mode:(if quick then "quick" else "perf")
-          ~seed ~kernels ~loops ~tiles ~repair:repair_rows ~gc ~suite_wall_s)
+          ~seed ~kernels ~loops ~tiles ~repair:repair_rows ~sweep:sweep_rows ~gc
+          ~suite_wall_s)
       json_path
   end
   else begin

@@ -295,7 +295,7 @@ let verify_cmd =
       exit 2
     end;
     if verbose then begin
-      (* One miter and one effort line per output pair, so the
+      (* One verdict and effort line per output pair, so the
          repair-hard outputs are visible individually; the overall
          verdict is folded from the per-output results. *)
       let per = Cec.equivalent_per_output ~conflict_limit:limit ma mb in
@@ -366,16 +366,17 @@ let verify_cmd =
       $ aag_pos 1 "B.aag" "Second circuit."
       $ Arg.(
           value & opt int 500_000
-          & info [ "conflicts" ] ~docv:"N" ~doc:"SAT conflict limit.")
+          & info [ "conflicts" ] ~docv:"N"
+              ~doc:"Total SAT conflict budget of the check.")
       $ Arg.(
           value & flag
           & info [ "verbose" ]
               ~doc:
                 "Print one SAT effort line per output pair (decisions, \
-                 conflicts, propagations, restarts, learned clauses), each \
-                 output discharged as its own miter.  All-zero stats mean \
-                 structural hashing settled that output without a SAT \
-                 call."))
+                 conflicts, propagations, restarts, learned clauses): that \
+                 output's share of the one SAT session all outputs are \
+                 checked on.  All-zero stats mean structural hashing \
+                 settled that output without a SAT call."))
 
 (* ---- sweep ---- *)
 

@@ -1,5 +1,6 @@
 module G = Aig.Graph
 module S = Sat.Solver
+module Session = Cec.Session
 module D = Data.Dataset
 module W = Words
 module T = Telemetry
@@ -105,38 +106,16 @@ let spec_of_dataset train =
 (* Incremental miter                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One append-only miter graph and one incremental solver for the whole
+(* One append-only miter graph and one incremental session for the whole
    loop: the spec cone is encoded once, every patched candidate is
-   imported on top (strashing shares what it can), and only the AND nodes
-   appended since the watermark are Tseitin-encoded. *)
+   imported on top (strashing shares what it can), and {!Cec.Session.sync}
+   encodes only the AND nodes appended since. *)
 type miter = {
   m : G.t;
-  solver : S.t;
-  mutable sat : int array;  (* graph var -> SAT var, -1 if unencoded *)
-  input_vars : int array;
-  mutable encoded_ands : int;  (* AND-index watermark *)
+  session : Session.t;
   care : G.lit;
   onset : G.lit;
 }
-
-let sat_lit mt l = S.lit_of_var mt.sat.(G.var_of_lit l) (G.is_complemented l)
-
-let encode_new mt =
-  let nv = G.num_vars mt.m in
-  if nv > Array.length mt.sat then begin
-    let grown = Array.make (max nv (2 * Array.length mt.sat)) (-1) in
-    Array.blit mt.sat 0 grown 0 (Array.length mt.sat);
-    mt.sat <- grown
-  end;
-  G.iter_ands ~from:mt.encoded_ands mt.m (fun v f0 f1 ->
-      let sv = S.new_var mt.solver in
-      mt.sat.(v) <- sv;
-      let nl = S.lit_of_var sv false in
-      let a = sat_lit mt f0 and b = sat_lit mt f1 in
-      S.add_clause mt.solver [ S.lit_not nl; a ];
-      S.add_clause mt.solver [ S.lit_not nl; b ];
-      S.add_clause mt.solver [ nl; S.lit_not a; S.lit_not b ]);
-  mt.encoded_ands <- G.num_ands mt.m
 
 let init_miter train minterms cand =
   let n = D.num_inputs train in
@@ -148,17 +127,7 @@ let init_miter train minterms cand =
     G.or_list m
       (List.filter_map (fun (l, label) -> if label then Some l else None) lits)
   in
-  let solver = S.create () in
-  let sat = Array.make (max 16 (G.num_vars m)) (-1) in
-  let input_vars =
-    Array.init n (fun i ->
-        let v = S.new_var solver in
-        sat.(1 + i) <- v;
-        v)
-  in
-  let mt = { m; solver; sat; input_vars; encoded_ands = 0; care; onset } in
-  encode_new mt;
-  mt
+  { m; session = Session.create m; care; onset }
 
 (* Enumerate up to [batch] miter models under a throwaway selector: the
    miter constraint and the per-model blocking clauses are all guarded by
@@ -166,27 +135,25 @@ let init_miter train minterms cand =
    so the next iteration's miter starts from a clean clause set (the
    learned clauses survive — that is the warm restart). *)
 let enumerate mt ~batch ~conflict_limit xlit =
-  let t = S.new_var mt.solver in
-  let tpos = S.lit_of_var t false in
-  S.add_clause mt.solver [ S.lit_not tpos; sat_lit mt xlit ];
+  let s = mt.session in
+  let t = Session.selector s in
+  Session.add_clause s [ S.lit_not t; Session.lit s xlit ];
   let rec go acc k =
     if k = 0 then (List.rev acc, `More)
     else
-      match S.solve ~assumptions:[ tpos ] ~conflict_limit mt.solver with
+      match Session.solve ~assumptions:[ t ] ~conflict_limit s with
       | S.Sat ->
-          let cex = Array.map (S.value mt.solver) mt.input_vars in
-          S.add_clause mt.solver
-            (S.lit_not tpos
-            :: Array.to_list
-                 (Array.mapi
-                    (fun i v -> S.lit_of_var v cex.(i))
-                    mt.input_vars));
+          let cex = Session.counterexample s in
+          Session.add_clause s
+            (S.lit_not t
+            :: List.init (Array.length cex) (fun i ->
+                   Session.lit s (G.lit_notif (G.input mt.m i) cex.(i))));
           go (cex :: acc) (k - 1)
       | S.Unsat -> (List.rev acc, `Unsat)
       | S.Unknown -> (List.rev acc, `Unknown)
   in
   let r = go [] batch in
-  S.add_clause mt.solver [ S.lit_not tpos ];
+  Session.retire s t;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -405,12 +372,9 @@ let repair ?(config = default_config) ~train g0 =
       let cubes = ref [] in
       List.iter
         (fun cex ->
-          (* Bridge the model into simulation columns to read the
-             candidate's value at the counterexample point, then XOR in
-             the correction cubes accepted so far this batch. *)
-          let cand_val =
-            W.get (Aig.Sim.simulate !cand (Cec.counterexample_columns cex)) 0
-          in
+          (* The candidate's value at the counterexample point, XOR-ed
+             with the correction cubes accepted so far this batch. *)
+          let cand_val = G.eval !cand cex in
           let corr_at = List.exists (fun c -> cube_covers c cex) !cubes in
           let cur_val = cand_val <> corr_at in
           match Hashtbl.find_opt label_tbl cex with
@@ -462,7 +426,7 @@ let repair ?(config = default_config) ~train g0 =
                    |> List.filteri (fun i _ -> i < batch),
                    `More )
                else begin
-                 encode_new mt;
+                 Session.sync mt.session;
                  enumerate mt ~batch ~conflict_limit:cfg.conflict_limit x
                end
              in
@@ -509,7 +473,8 @@ let repair ?(config = default_config) ~train g0 =
        never prefers anything else, and the exactness guarantee (the
        QCheck [Cec.Proved] property) holds for what the caller gets. *)
     let result = if !exact then !cand else !best in
-    finish ~errors_before ~conflicts:(S.stats mt.solver).S.conflicts
+    finish ~errors_before
+      ~conflicts:(Session.stats mt.session).S.conflicts
       ~iterations:!iterations ~batches:!batches ~cex:!ncex ~resubs:!resubs
       ~muxes:!muxes ~sweeps:!sweeps ~stopped result
   end

@@ -7,10 +7,9 @@
     training care-set (one minterm per distinct sampled input vector,
     labelled by majority vote), form a strashed miter of candidate vs.
     specification restricted to that care-set, and drive one incremental
-    {!Sat.Solver} under assumptions to enumerate disagreement
-    counterexamples in batches.  Each batch is bridged into simulation
-    columns ({!Cec.counterexample_columns}), the offending points are
-    localized in the output cone, and the circuit is patched:
+    {!Cec.Session} under assumptions to enumerate disagreement
+    counterexamples in batches.  The candidate is evaluated at each
+    counterexample, and the circuit is patched:
 
     - {b resubstitution} first — an existing node (either polarity)
       whose simulation signature fixes every counterexample of the batch

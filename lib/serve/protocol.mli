@@ -41,7 +41,7 @@ type eval = {
 type verify = {
   v_a : string;  (** first circuit, AAG text *)
   v_b : string;  (** second circuit, AAG text *)
-  v_conflicts : int;  (** SAT conflict limit, default 100_000 *)
+  v_conflicts : int;  (** total SAT conflict budget, default 100_000 *)
   v_deadline_s : float option;
   v_fuel : int option;
   v_trace : bool;

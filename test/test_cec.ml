@@ -44,12 +44,7 @@ let test_counterexample () =
   match Cec.equivalent g1 g2 with
   | Cec.Counterexample cex ->
       check_bool "cex length" true (Array.length cex = 2);
-      check_bool "cex distinguishes" true (G.eval g1 cex <> G.eval g2 cex);
-      (* The repackaged simulation columns reproduce the disagreement. *)
-      let cols = Cec.counterexample_columns cex in
-      let o1 = Aig.Sim.simulate g1 cols and o2 = Aig.Sim.simulate g2 cols in
-      check_bool "columns distinguish" true
-        (Words.get o1 0 <> Words.get o2 0)
+      check_bool "cex distinguishes" true (G.eval g1 cex <> G.eval g2 cex)
   | r -> Alcotest.failf "expected counterexample, got %s" (result_name r)
 
 let test_constant_cases () =
@@ -125,16 +120,35 @@ let bdd_of_graph man g =
          node.(v) <- Bdd.mk_and man (bdd_of_lit f0) (bdd_of_lit f1)));
   bdd_of_lit (G.output g)
 
+(* [g] with its output complemented on exactly one input vector. *)
+let flip_minterm g minterm =
+  let n = G.num_inputs g in
+  let h = G.create ~num_inputs:n () in
+  let out = G.import h ~src:g in
+  let hit =
+    G.and_list h
+      (List.init n (fun i -> G.lit_notif (G.input h i) (not minterm.(i))))
+  in
+  G.set_output h (G.xor_ h out hit);
+  h
+
+let random_minterm st n = Array.init n (fun _ -> Random.State.bool st)
+
 let test_cross_check_bdd () =
   let st = Random.State.make [| 0xCEC |] in
-  for trial = 1 to 30 do
+  for trial = 1 to 40 do
     let num_inputs = 4 + Random.State.int st 9 in
     let g1 = random_graph st ~num_inputs ~num_nodes:40 in
-    (* Every third trial compares against a rewrite of the same function,
-       so the Proved branch is exercised, not just refutations. *)
+    (* Most trials compare against a rewrite of the same function or a
+       one-minterm flip of it, so the Proved branch and the exact
+       counterexample are exercised, not just random refutations. *)
+    let minterm = random_minterm st num_inputs in
     let g2 =
-      if trial mod 3 = 0 then Aig.Opt.balance g1
-      else random_graph st ~num_inputs ~num_nodes:40
+      match trial mod 4 with
+      | 0 -> Aig.Opt.balance g1
+      | 1 -> fst (Cec.sat_sweep ~num_patterns:128 g1)
+      | 2 -> flip_minterm g1 minterm
+      | _ -> random_graph st ~num_inputs ~num_nodes:40
     in
     let man = Bdd.create ~num_vars:num_inputs in
     let bdd_eq = Bdd.equal (bdd_of_graph man g1) (bdd_of_graph man g2) in
@@ -148,10 +162,117 @@ let test_cross_check_bdd () =
         check_bool
           (Printf.sprintf "trial %d: cex distinguishes" trial)
           true
-          (G.eval g1 cex <> G.eval g2 cex)
+          (G.eval g1 cex <> G.eval g2 cex);
+        if trial mod 4 = 2 then
+          check_bool
+            (Printf.sprintf "trial %d: cex is the flipped minterm" trial)
+            true (cex = minterm)
     | Cec.Unknown reason ->
         Alcotest.failf "trial %d: unknown on tiny instance: %s" trial reason
   done
+
+(* One multi-output circuit from single-output graphs over the same
+   inputs. *)
+let multi_of_graphs num_inputs gs =
+  let g = G.create ~num_inputs () in
+  Aig.Multi.create g (Array.of_list (List.map (fun src -> G.import g ~src) gs))
+
+let output_bdds man (mo : Aig.Multi.t) =
+  let g = mo.Aig.Multi.graph in
+  let saved = G.output g in
+  let bdds =
+    Array.map
+      (fun o ->
+        G.set_output g o;
+        bdd_of_graph man g)
+      mo.Aig.Multi.outputs
+  in
+  G.set_output g saved;
+  bdds
+
+(* The array multiplier with its operands in either order: a narrow (12
+   input) pair whose middle output bits need more than the first query's
+   conflicts, so the merge pass and the residue queries run. *)
+let multiplier ~width ~swap =
+  let g = G.create ~num_inputs:(2 * width) () in
+  let a = Array.init width (G.input g) in
+  let b = Array.init width (fun i -> G.input g (width + i)) in
+  Aig.Multi.create g
+    (if swap then Synth.Arith.multiplier g b a else Synth.Arith.multiplier g a b)
+
+(* [mo] with output [k] complemented on one input vector. *)
+let flip_output (mo : Aig.Multi.t) k minterm =
+  let n = G.num_inputs mo.Aig.Multi.graph in
+  let g = G.create ~num_inputs:n () in
+  let src = mo.Aig.Multi.graph in
+  let saved = G.output src in
+  let outs =
+    Array.map
+      (fun o ->
+        G.set_output src o;
+        G.import g ~src)
+      mo.Aig.Multi.outputs
+  in
+  G.set_output src saved;
+  let hit =
+    G.and_list g
+      (List.init n (fun i -> G.lit_notif (G.input g i) (not minterm.(i))))
+  in
+  outs.(k) <- G.xor_ g outs.(k) hit;
+  Aig.Multi.create g outs
+
+(* Both multi-output checks against per-output BDD equality. *)
+let check_multi_vs_bdd name m1 m2 =
+  let n = G.num_inputs m1.Aig.Multi.graph in
+  let man = Bdd.create ~num_vars:n in
+  let eq = Array.map2 Bdd.equal (output_bdds man m1) (output_bdds man m2) in
+  let differs i cex = (Aig.Multi.eval m1 cex).(i) <> (Aig.Multi.eval m2 cex).(i) in
+  Array.iteri
+    (fun i (r, _) ->
+      let tag = Printf.sprintf "%s: output %d" name i in
+      match r with
+      | Cec.Proved -> check_bool (tag ^ " bdd agrees proved") true eq.(i)
+      | Cec.Counterexample cex | Cec.Counterexample_at (_, cex) ->
+          check_bool (tag ^ " bdd agrees cex") false eq.(i);
+          check_bool (tag ^ " cex distinguishes") true (differs i cex)
+      | Cec.Unknown reason -> Alcotest.failf "%s unknown: %s" tag reason)
+    (Cec.equivalent_per_output m1 m2);
+  match Cec.equivalent_multi m1 m2 with
+  | Cec.Proved ->
+      check_bool (name ^ ": bdd agrees multi proved") true
+        (Array.for_all Fun.id eq)
+  | Cec.Counterexample_at (i, cex) ->
+      check_bool (name ^ ": bdd agrees multi cex") false eq.(i);
+      check_bool (name ^ ": multi cex distinguishes") true (differs i cex)
+  | r -> Alcotest.failf "%s: multi gave %s" name (result_name r)
+
+let test_cross_check_bdd_multi () =
+  let st = Random.State.make [| 0x3C3C |] in
+  for trial = 1 to 12 do
+    let num_inputs = 4 + Random.State.int st 9 in
+    let gs = List.init 3 (fun _ -> random_graph st ~num_inputs ~num_nodes:30) in
+    (* Per output: a balanced rewrite, a sweep, a one-minterm flip or an
+       unrelated function. *)
+    let gs' =
+      List.mapi
+        (fun k g ->
+          match (trial + k) mod 4 with
+          | 0 -> Aig.Opt.balance g
+          | 1 -> fst (Cec.sat_sweep ~num_patterns:128 g)
+          | 2 -> flip_minterm g (random_minterm st num_inputs)
+          | _ -> random_graph st ~num_inputs ~num_nodes:30)
+        gs
+    in
+    check_multi_vs_bdd
+      (Printf.sprintf "trial %d" trial)
+      (multi_of_graphs num_inputs gs)
+      (multi_of_graphs num_inputs gs')
+  done;
+  let m1 = multiplier ~width:6 ~swap:false in
+  let m2 = multiplier ~width:6 ~swap:true in
+  check_multi_vs_bdd "a*b vs b*a" m1 m2;
+  check_multi_vs_bdd "a*b vs b*a flipped"
+    m1 (flip_output m2 6 (random_minterm st 12))
 
 (* ---- SAT sweeping ---- *)
 
@@ -194,6 +315,76 @@ let test_sweep_preserves_random () =
     check_proved (Printf.sprintf "trial %d: preserved" trial)
       (Cec.equivalent g swept)
   done
+
+(* ---- FRAIG check at forest scale, and its conflict budget ---- *)
+
+(* The bagged forest of the bench's sweep table: 3637 gates over 35
+   inputs.  One plain SAT call over the miter with its swept copy does
+   not finish within 20k conflicts; the merge pass proves it in about
+   1300. *)
+let forest_ex52 =
+  lazy
+    (let b = Benchgen.Suite.benchmark 52 in
+     let inst =
+       Benchgen.Suite.instantiate ~sizes:Benchgen.Suite.reduced_sizes ~seed:1 b
+     in
+     Forest.Bagging.to_aig ~num_inputs:b.Benchgen.Suite.num_inputs
+       (Forest.Bagging.train
+          ~rng:(Random.State.make [| 52 |])
+          Forest.Bagging.default_params inst.Benchgen.Suite.train))
+
+let test_forest_ex52 () =
+  let g = Lazy.force forest_ex52 in
+  Alcotest.(check int) "forest-ex52 gates" 3637 (G.num_ands g);
+  let swept, _ = Cec.sat_sweep g in
+  check_proved "forest-ex52 vs swept"
+    (Cec.equivalent ~conflict_limit:20_000 g swept);
+  let minterm = random_minterm (Random.State.make [| 52 |]) (G.num_inputs g) in
+  match Cec.equivalent ~conflict_limit:20_000 g (flip_minterm g minterm) with
+  | Cec.Counterexample cex ->
+      check_bool "cex is the flipped minterm" true (cex = minterm)
+  | r -> Alcotest.failf "forest-ex52 flipped: %s" (result_name r)
+
+(* The solver checks its limit between propagations, so one query may
+   run a few conflicts past it; the total of a check may overshoot its
+   budget by no more than that. *)
+let overshoot = 8
+
+let test_conflict_budget () =
+  let g = Lazy.force forest_ex52 in
+  let swept, _ = Cec.sat_sweep g in
+  (* 300 ends inside the first query; 1100 inside the merge pass the
+     proof needs (it takes about 1300 in all). *)
+  List.iter
+    (fun limit ->
+      let r, st = Cec.equivalent_stats ~conflict_limit:limit g swept in
+      Alcotest.(check string)
+        (Printf.sprintf "limit %d: unknown" limit)
+        "unknown" (result_name r);
+      check_bool
+        (Printf.sprintf "limit %d: %d conflicts within budget" limit
+           st.Sat.Solver.conflicts)
+        true
+        (st.Sat.Solver.conflicts <= limit + overshoot))
+    [ 300; 1100 ];
+  (* Per output, the limit is the total over all outputs. *)
+  let limit = 3000 in
+  let per =
+    Cec.equivalent_per_output ~conflict_limit:limit
+      (multiplier ~width:6 ~swap:false)
+      (multiplier ~width:6 ~swap:true)
+  in
+  let total =
+    Array.fold_left (fun acc (_, st) -> acc + st.Sat.Solver.conflicts) 0 per
+  in
+  check_bool
+    (Printf.sprintf "per-output total %d within budget" total)
+    true
+    (total <= limit + overshoot);
+  check_bool "some output unknown" true
+    (Array.exists (fun (r, _) -> result_name r = "unknown") per);
+  check_bool "no output refuted" true
+    (Array.for_all (fun (r, _) -> result_name r <> "counterexample") per)
 
 (* ---- metamorphic regression: optimization passes on wide benchmarks ---- *)
 
@@ -394,6 +585,11 @@ let suites =
         Alcotest.test_case "constant cases" `Quick test_constant_cases;
         Alcotest.test_case "multi output" `Quick test_multi_output;
         Alcotest.test_case "cross-check vs bdd" `Quick test_cross_check_bdd;
+        Alcotest.test_case "multi-output cross-check vs bdd" `Quick
+          test_cross_check_bdd_multi;
+        Alcotest.test_case "forest-ex52 proved" `Quick test_forest_ex52;
+        Alcotest.test_case "conflict budget is a total" `Quick
+          test_conflict_budget;
         Alcotest.test_case "sweep reduces" `Quick test_sweep_reduces;
         Alcotest.test_case "sweep preserves (random)" `Quick
           test_sweep_preserves_random;
