@@ -62,28 +62,16 @@ let perf ?(quick = false) () =
   in
   let st = Random.State.make [| 42 |] in
   let columns = Aig.Sim.random_patterns st ~num_inputs:20 ~num_patterns:6400 in
-  (* Twin column arrays alternate between engine runs to force a full
-     re-simulation every call (same array twice would hit the watermark
-     cache and measure nothing); a third shared engine measures the cached
-     incremental path plus the fused accuracy counter. *)
-  let columns' = Aig.Sim.random_patterns st ~num_inputs:20 ~num_patterns:6400 in
   let expected = Words.random st 6400 in
   let engine = Aig.Sim.Engine.create () in
-  let flip = ref false in
-  let acc_engine = Aig.Sim.Engine.create () in
   let tests =
     [ Test.make ~name:"aig-sim-6400pat"
         (Staged.stage (fun () -> ignore (Aig.Sim.simulate parity_aig columns)));
-      Test.make ~name:"engine-sim-6400pat"
-        (Staged.stage (fun () ->
-             flip := not !flip;
-             ignore
-               (Aig.Sim.Engine.simulate engine parity_aig
-                  (if !flip then columns else columns'))));
       Test.make ~name:"engine-accuracy-6400pat"
         (Staged.stage (fun () ->
              ignore
-               (Aig.Sim.Engine.accuracy acc_engine parity_aig columns expected)));
+               (Aig.Sim.Engine.accuracy_batch engine [| parity_aig |] columns
+                  ~expected)));
       Test.make ~name:"dtree-train-depth8"
         (Staged.stage (fun () ->
              ignore
@@ -156,21 +144,22 @@ let time_ns f =
 
 (* The solver's inner loop: score many candidate circuits against the same
    validation columns.  The naive path allocates a fresh value vector per
-   AND node per call; the engine simulates into one reused arena. *)
+   AND node per call; the engine scores the whole portfolio in one tiled
+   batch over one reused arena. *)
 let solver_accuracy_loop ~reps =
   let num_inputs = 20 and num_patterns = 512 in
   let st = Random.State.make [| 0xbe7c; 1 |] in
   let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns in
   let expected = Words.random st num_patterns in
   let candidates =
-    List.init 24 (fun i ->
+    Array.init 24 (fun i ->
         Benchgen.Logic_bench.cone ~seed:(100 + i) ~num_inputs ~num_nodes:600 ())
   in
   let sink = ref 0.0 in
   let naive_total =
     time_ns (fun () ->
         for _ = 1 to reps do
-          List.iter
+          Array.iter
             (fun g -> sink := !sink +. Aig.Sim.accuracy g columns expected)
             candidates
         done)
@@ -180,16 +169,14 @@ let solver_accuracy_loop ~reps =
   let engine_total =
     time_ns (fun () ->
         for _ = 1 to reps do
-          List.iter
-            (fun g ->
-              engine_sink :=
-                !engine_sink +. Aig.Sim.Engine.accuracy engine g columns expected)
-            candidates
+          Array.iter
+            (fun a -> engine_sink := !engine_sink +. a)
+            (Aig.Sim.Engine.accuracy_batch engine candidates columns ~expected)
         done)
   in
   if !sink <> !engine_sink then
     failwith "solver-accuracy-loop: engine diverged from naive accuracy";
-  let ops = reps * List.length candidates in
+  let ops = reps * Array.length candidates in
   {
     loop_name = "solver-accuracy-loop";
     ops;
@@ -197,57 +184,16 @@ let solver_accuracy_loop ~reps =
     engine_ns = engine_total /. float_of_int ops;
   }
 
-(* The sweep's refresh pattern: a large graph grows by a handful of nodes,
-   then is re-simulated.  The naive path re-simulates everything; the
-   engine's watermark re-simulates only the appended nodes.  Twin graphs
-   built from the same seed keep the two timed passes identical. *)
-let incremental_refresh_loop ~rounds =
-  let num_inputs = 24 and num_patterns = 4096 and appends = 16 in
-  let build () =
-    Benchgen.Logic_bench.cone ~seed:77 ~num_inputs ~num_nodes:2000 ()
-  in
-  let st = Random.State.make [| 0x1c4e; 2 |] in
-  let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns in
-  let append rng g =
-    for _ = 1 to appends do
-      let lit () =
-        let v = Random.State.int rng (Aig.Graph.num_vars g) in
-        Aig.Graph.lit_of_var v (Random.State.bool rng)
-      in
-      ignore (Aig.Graph.and_ g (lit ()) (lit ()))
-    done
-  in
-  let run_pass simulate =
-    let g = build () in
-    let rng = Random.State.make [| 0xadd; 3 |] in
-    ignore (simulate g);
-    time_ns (fun () ->
-        for _ = 1 to rounds do
-          append rng g;
-          ignore (simulate g)
-        done)
-  in
-  let naive_total = run_pass (fun g -> Aig.Sim.simulate g columns) in
-  let engine = Aig.Sim.Engine.create () in
-  let engine_total =
-    run_pass (fun g -> Aig.Sim.Engine.simulate engine g columns)
-  in
-  {
-    loop_name = "incremental-refresh";
-    ops = rounds;
-    naive_ns = naive_total /. float_of_int rounds;
-    engine_ns = engine_total /. float_of_int rounds;
-  }
-
 (* The portfolio pick: one good candidate and a field of losers, scored
-   against the same validation columns.  The naive path is the solver's
-   old sequential incumbent loop — each candidate is fully simulated, then
-   its disagreement count early-exits against the incumbent's.  The
-   batched path tiles the columns and abandons losers after their first
-   tiles, skipping most of the *simulation*, which is where the time
-   goes.  Candidate 0 computes the expected function up to ~2% noise, so
-   both paths tighten their limit immediately; every other candidate is
-   unrelated logic sitting at ~50% disagreement. *)
+   against the same validation columns by the same tiled kernel.  The
+   baseline runs the whole portfolio as one chunk with no limit, so no
+   candidate can be pruned and every one is simulated to the end.  The
+   pick uses the default chunking, which abandons losers after their
+   first tiles and so skips most of the *simulation*, which is where the
+   time goes: the ratio isolates the tiled early exit.  Candidate 0
+   computes the expected function up to ~2% noise, so the limit tightens
+   after the first chunk; every other candidate is unrelated logic
+   sitting at ~50% disagreement. *)
 let pick_best_setup () =
   let num_inputs = 20 and num_patterns = 16384 in
   let st = Random.State.make [| 0xba7c; 4 |] in
@@ -263,26 +209,10 @@ let pick_best_setup () =
   done;
   (columns, expected, candidates)
 
-(* The old pick_best inner loop, verbatim: full simulation per candidate,
-   count early-exited against the incumbent. *)
-let sequential_pick engine candidates columns ~expected =
-  let best = ref None in
-  Array.iteri
-    (fun i g ->
-      let limit = match !best with None -> max_int | Some (d, _) -> d in
-      match Aig.Sim.Engine.disagreements ~limit engine g columns ~expected with
-      | None -> ()
-      | Some d -> (
-          match !best with
-          | Some (bd, _) when d >= bd -> ()
-          | _ -> best := Some (d, i)))
-    candidates;
-  match !best with Some (_, i) -> i | None -> assert false
-
-let batched_pick ?tile_words engine candidates columns ~expected =
+let batched_pick ?tile_words ?chunk engine candidates columns ~expected =
   let counts =
-    Aig.Sim.Engine.disagreements_batch ?tile_words engine candidates columns
-      ~expected
+    Aig.Sim.Engine.disagreements_batch ?tile_words ?chunk engine candidates
+      columns ~expected
   in
   let best = ref None in
   Array.iteri
@@ -300,10 +230,11 @@ let pick_best_batch_loop ~reps =
   let columns, expected, candidates = pick_best_setup () in
   let engine = Aig.Sim.Engine.create () in
   let naive_winner = ref (-1) in
+  let chunk = Array.length candidates in
   let naive_total =
     time_ns (fun () ->
         for _ = 1 to reps do
-          naive_winner := sequential_pick engine candidates columns ~expected
+          naive_winner := batched_pick ~chunk engine candidates columns ~expected
         done)
   in
   let batch_winner = ref (-2) in
@@ -314,7 +245,7 @@ let pick_best_batch_loop ~reps =
         done)
   in
   if !naive_winner <> !batch_winner then
-    failwith "pick-best-batch: batched winner diverged from sequential";
+    failwith "pick-best-batch: pruned winner diverged from the unpruned one";
   {
     loop_name = "pick-best-batch";
     ops = reps;
@@ -445,7 +376,6 @@ let engine_loops ~quick ~jobs () =
   Contest.Report.heading "Repeated-evaluation loops (naive vs engine)";
   let loops =
     [ solver_accuracy_loop ~reps:(if quick then 5 else 50);
-      incremental_refresh_loop ~rounds:(if quick then 50 else 500);
       pick_best_batch_loop ~reps:(if quick then 5 else 30) ]
     @
     (* Parallel training only earns its measurement at paper scale; the

@@ -34,8 +34,9 @@ let approximate_once ?(num_patterns = 1024) ?patterns ?(protect_levels = 4)
         if Array.length columns = 0 then num_patterns
         else Words.length columns.(0)
       in
-      let engine = Sim.Engine.for_domain () in
-      Sim.Engine.run engine g columns;
+      let sigs =
+        Sim.Engine.signatures_batch (Sim.Engine.for_domain ()) g columns
+      in
       let level = var_levels g in
       let out_level = level.(Graph.var_of_lit (Graph.output g)) in
       let protect = max 0 (out_level - protect_levels) in
@@ -46,7 +47,7 @@ let approximate_once ?(num_patterns = 1024) ?patterns ?(protect_levels = 4)
         Graph.fold_ands g ~init:[] ~f:(fun acc var _ _ ->
             if level.(var) >= protect && out_level > protect_levels then acc
             else begin
-              let ones = Sim.Engine.popcount_var engine var in
+              let ones = Words.popcount sigs.(var) in
               let zeros = num_patterns - ones in
               let const_lit =
                 if zeros >= ones then Graph.const_false else Graph.const_true

@@ -53,7 +53,6 @@ let input g i =
   if i < 0 || i >= g.num_inputs then invalid_arg "Graph.input: index out of range";
   lit_of_var (1 + i) false
 
-let is_input_var g v = v >= 1 && v <= g.num_inputs
 let is_and_var g v = v >= first_and_var g && v < num_vars g
 
 let fanins g v =

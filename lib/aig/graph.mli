@@ -42,7 +42,6 @@ val var_of_lit : lit -> int
 val is_complemented : lit -> bool
 val lit_of_var : int -> bool -> lit
 
-val is_input_var : t -> int -> bool
 val is_and_var : t -> int -> bool
 
 val fanins : t -> int -> lit * lit
@@ -88,7 +87,7 @@ val iter_ands : ?from:int -> t -> (int -> lit -> lit -> unit) -> unit
     [from..num_ands g - 1] (0-based AND index, default 0) in topological
     order.  The graph is append-only, so a caller that remembers
     [num_ands] can later revisit exactly the nodes added since — the basis
-    of incremental re-simulation ({!Sim.Engine}). *)
+    of incremental Tseitin encoding ({!Cec.Session}). *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: inputs, ANDs, levels. *)

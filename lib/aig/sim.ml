@@ -53,240 +53,30 @@ let accuracy g columns expected =
     1.0 -. (float_of_int disagreements /. float_of_int n)
 
 (* ------------------------------------------------------------------ *)
-(* Zero-allocation simulation engine                                    *)
+(* Zero-allocation simulation engine: cache-blocked tiled kernels       *)
 (* ------------------------------------------------------------------ *)
 
 module Engine = struct
   let word_mask = (1 lsl Words.bits_per_word) - 1
-  let c_full_runs = Telemetry.counter "engine.full_runs"
-  let c_incremental_runs = Telemetry.counter "engine.incremental_runs"
   let c_words_simulated = Telemetry.counter "engine.words_simulated"
-  let c_early_exits = Telemetry.counter "engine.early_exits"
   let c_batch_runs = Telemetry.counter "engine.batch_runs"
   let c_batch_candidates = Telemetry.counter "engine.batch_candidates"
   let c_batch_tiles = Telemetry.counter "engine.batch_tiles"
   let c_batch_early_exits = Telemetry.counter "engine.batch_early_exits"
   let h_batch_size = Telemetry.histogram "engine.batch_size"
 
-  type stats = {
-    full_runs : int;
-    incremental_runs : int;
-    ands_simulated : int;
-  }
-
+  (* State reused across calls so the tiled kernel allocates nothing at
+     steady state (see [disagreements_batch]). *)
   type t = {
-    mutable arena : int array;
-        (* row-major: variable [v] owns words [v*wpc .. v*wpc+wpc-1] *)
-    mutable wpc : int;  (* words per column (= per variable row) *)
-    mutable n : int;  (* patterns per column *)
-    mutable graph : Graph.t;  (* graph of the last run (physical identity) *)
-    mutable cols : Words.t array;  (* columns of the last run (identity) *)
-    mutable watermark : int;  (* AND nodes already simulated for (graph, cols) *)
-    mutable bound : bool;  (* the arena holds a valid run *)
-    mutable scratch : int array;  (* expected-words buffer for the counter *)
-    mutable full_runs : int;
-    mutable incremental_runs : int;
-    mutable ands_simulated : int;
-    (* Batched-evaluation state, reused across calls so the tiled kernel
-       allocates nothing at steady state (see [disagreements_batch]). *)
-    mutable b_arena : int array;  (* tile arena: row [v] at [v * tile_words] *)
-    mutable b_code : int array;  (* concatenated (dst var, f0, f1) triples *)
-    mutable b_starts : int array;  (* candidate [c]'s code at [b_starts.(c) ..) *)
-    mutable b_counts : int array;  (* running disagreement count per candidate *)
-    mutable b_alive : int array;  (* 1 = still in the race, 0 = pruned *)
+    mutable arena : int array;  (* tile arena: row [v] at [v * tile_words] *)
+    mutable code : int array;  (* concatenated (dst var, f0, f1) triples *)
+    mutable starts : int array;  (* candidate [c]'s code at [starts.(c) ..) *)
+    mutable counts : int array;  (* running disagreement count per candidate *)
+    mutable alive : int array;  (* 1 = still in the race, 0 = pruned *)
   }
 
   let create () =
-    {
-      arena = [||];
-      wpc = 0;
-      n = 0;
-      graph = Graph.create ~num_inputs:0 ();
-      cols = [||];
-      watermark = 0;
-      bound = false;
-      scratch = [||];
-      full_runs = 0;
-      incremental_runs = 0;
-      ands_simulated = 0;
-      b_arena = [||];
-      b_code = [||];
-      b_starts = [||];
-      b_counts = [||];
-      b_alive = [||];
-    }
-
-  let stats e =
-    {
-      full_runs = e.full_runs;
-      incremental_runs = e.incremental_runs;
-      ands_simulated = e.ands_simulated;
-    }
-
-  (* Mask of valid bits in the top word of a row. *)
-  let top_mask e =
-    let r = e.n mod Words.bits_per_word in
-    if r = 0 then word_mask else (1 lsl r) - 1
-
-  let ensure_capacity e needed ~preserve =
-    if Array.length e.arena < needed then begin
-      let fresh = Array.make (max needed (2 * Array.length e.arena)) 0 in
-      if preserve then Array.blit e.arena 0 fresh 0 (Array.length e.arena);
-      e.arena <- fresh
-    end
-
-  (* Fused in-place kernels: every arena index below is in range by
-     construction ([var < num_vars] and the arena spans [num_vars * wpc]
-     words), so the inner loops use unsafe accesses — this is the hot path
-     of the whole system and must not pay per-word bounds checks. *)
-  let sim_ands e g ~from =
-    let wpc = e.wpc in
-    let arena = e.arena in
-    let top = wpc - 1 in
-    let tmask = top_mask e in
-    Graph.iter_ands ~from g (fun var f0 f1 ->
-        let dst = var * wpc in
-        let a = Graph.var_of_lit f0 * wpc and b = Graph.var_of_lit f1 * wpc in
-        match (Graph.is_complemented f0, Graph.is_complemented f1) with
-        | false, false ->
-            for k = 0 to top do
-              Array.unsafe_set arena (dst + k)
-                (Array.unsafe_get arena (a + k)
-                land Array.unsafe_get arena (b + k))
-            done
-        | false, true ->
-            for k = 0 to top do
-              Array.unsafe_set arena (dst + k)
-                (Array.unsafe_get arena (a + k)
-                land lnot (Array.unsafe_get arena (b + k)))
-            done
-        | true, false ->
-            for k = 0 to top do
-              Array.unsafe_set arena (dst + k)
-                (Array.unsafe_get arena (b + k)
-                land lnot (Array.unsafe_get arena (a + k)))
-            done
-        | true, true ->
-            for k = 0 to top do
-              Array.unsafe_set arena (dst + k)
-                (lnot
-                   (Array.unsafe_get arena (a + k)
-                   lor Array.unsafe_get arena (b + k))
-                land word_mask)
-            done;
-            if wpc > 0 then
-              Array.unsafe_set arena (dst + top)
-                (Array.unsafe_get arena (dst + top) land tmask))
-
-  let run e g columns =
-    let n = check_columns g columns in
-    let n_ands = Graph.num_ands g in
-    if e.bound && e.graph == g && e.cols == columns && n = e.n then begin
-      (* Same graph and same columns as the previous run: the graph is
-         append-only, so only AND nodes past the watermark are new. *)
-      if e.watermark < n_ands then begin
-        ensure_capacity e (Graph.num_vars g * e.wpc) ~preserve:true;
-        sim_ands e g ~from:e.watermark;
-        e.ands_simulated <- e.ands_simulated + (n_ands - e.watermark);
-        Telemetry.add c_words_simulated ((n_ands - e.watermark) * e.wpc);
-        e.watermark <- n_ands
-      end;
-      e.incremental_runs <- e.incremental_runs + 1;
-      Telemetry.incr c_incremental_runs
-    end
-    else begin
-      e.bound <- false;
-      e.n <- n;
-      e.wpc <- Words.num_words n;
-      ensure_capacity e (Graph.num_vars g * e.wpc) ~preserve:false;
-      Array.fill e.arena 0 e.wpc 0;
-      Array.iteri
-        (fun i c -> Words.blit_to_array c e.arena ~pos:((1 + i) * e.wpc))
-        columns;
-      sim_ands e g ~from:0;
-      e.graph <- g;
-      e.cols <- columns;
-      e.watermark <- n_ands;
-      e.bound <- true;
-      e.full_runs <- e.full_runs + 1;
-      e.ands_simulated <- e.ands_simulated + n_ands;
-      Telemetry.incr c_full_runs;
-      Telemetry.add c_words_simulated (n_ands * e.wpc)
-    end
-
-  let num_patterns e = e.n
-
-  let check_bound e =
-    if not e.bound then invalid_arg "Sim.Engine: no simulation has run"
-
-  let signature e v =
-    check_bound e;
-    Words.of_words e.arena ~pos:(v * e.wpc) ~length:e.n
-
-  let popcount_var e v =
-    check_bound e;
-    let base = v * e.wpc in
-    let acc = ref 0 in
-    for k = 0 to e.wpc - 1 do
-      acc := !acc + Words.popcount_word (Array.unsafe_get e.arena (base + k))
-    done;
-    !acc
-
-  let output e =
-    check_bound e;
-    let l = Graph.output e.graph in
-    let w = signature e (Graph.var_of_lit l) in
-    if Graph.is_complemented l then Words.not_into ~dst:w w;
-    w
-
-  let simulate e g columns =
-    run e g columns;
-    output e
-
-  (* Fused xor-popcount between the output row and [expected], with an
-     early exit as soon as the count can no longer come in at or under
-     [limit]: a candidate that has already lost is abandoned mid-row. *)
-  let disagreements ?(limit = max_int) e g columns ~expected =
-    run e g columns;
-    if Words.length expected <> e.n then
-      invalid_arg "Sim.Engine.disagreements: expected length mismatch";
-    let wpc = e.wpc in
-    if Array.length e.scratch < wpc then e.scratch <- Array.make (max wpc 1) 0;
-    Words.blit_to_array expected e.scratch ~pos:0;
-    let l = Graph.output e.graph in
-    let base = Graph.var_of_lit l * wpc in
-    let comp = Graph.is_complemented l in
-    let tmask = top_mask e in
-    let arena = e.arena and scratch = e.scratch in
-    let d = ref 0 in
-    let k = ref 0 in
-    while !d <= limit && !k < wpc do
-      let ow = Array.unsafe_get arena (base + !k) in
-      let ow =
-        if comp then
-          lnot ow land (if !k = wpc - 1 then tmask else word_mask)
-        else ow
-      in
-      d := !d + Words.popcount_word (ow lxor Array.unsafe_get scratch !k);
-      incr k
-    done;
-    if !d > limit then begin
-      Telemetry.incr c_early_exits;
-      None
-    end
-    else Some !d
-
-  let accuracy e g columns expected =
-    match disagreements e g columns ~expected with
-    | None -> assert false (* no limit: the count is always exact *)
-    | Some d ->
-        let n = Words.length expected in
-        if n = 0 then 1.0
-        else 1.0 -. (float_of_int d /. float_of_int n)
-
-  (* ---------------------------------------------------------------- *)
-  (* Batched candidate evaluation: cache-blocked multi-AIG simulation   *)
-  (* ---------------------------------------------------------------- *)
+    { arena = [||]; code = [||]; starts = [||]; counts = [||]; alive = [||] }
 
   (* Tile width in words.  62 bits/word x 16 words = 992 patterns per
      tile: a 600-gate candidate touches ~620 rows x 16 words = 80 KB per
@@ -302,6 +92,11 @@ module Engine = struct
      end. *)
   let default_chunk = 4
 
+  (* Mask of the valid bits in the top word of an [n]-pattern row. *)
+  let top_mask n =
+    let r = n mod Words.bits_per_word in
+    if r = 0 then word_mask else (1 lsl r) - 1
+
   let grow_exact arr needed =
     if Array.length arr >= needed then arr
     else Array.make (max needed (2 * Array.length arr)) 0
@@ -314,9 +109,9 @@ module Engine = struct
     let total =
       Array.fold_left (fun acc g -> acc + Graph.num_ands g) 0 graphs
     in
-    e.b_code <- grow_exact e.b_code (3 * total);
-    e.b_starts <- grow_exact e.b_starts (ncand + 1);
-    let code = e.b_code and starts = e.b_starts in
+    e.code <- grow_exact e.code (3 * total);
+    e.starts <- grow_exact e.starts (ncand + 1);
+    let code = e.code and starts = e.starts in
     let pos = ref 0 in
     Array.iteri
       (fun c g ->
@@ -342,8 +137,11 @@ module Engine = struct
       done
     done
 
-  (* One candidate's fused kernels over one tile: the same four polarity
-     cases as [sim_ands], restricted to words [0 .. top] of each row.
+  (* One candidate's fused in-place AND/ANDNOT/NOR kernels over one tile,
+     words [0 .. top] of each row.  Every arena index is in range by
+     construction (rows are [var < num_vars] and the arena spans them),
+     so the inner loops use unsafe accesses: this is the hot path of the
+     whole system and must not pay per-word bounds checks.
      [final_word] is the in-tile index of the globally-last word of a row
      (-1 when this tile is not the last): only there can bits beyond the
      pattern count appear, and only the NOR case can set them. *)
@@ -389,8 +187,8 @@ module Engine = struct
     done
 
   (* Fused xor-popcount of a candidate's output row against the expected
-     row, over one tile.  Mirrors [disagreements]'s per-word logic: a
-     complemented output is negated and masked word by word. *)
+     row, over one tile: a complemented output is negated and masked word
+     by word. *)
   let count_tile arena ~out ~erow ~tw ~top ~final_word ~tmask =
     let base = (out lsr 1) * tw in
     let comp = out land 1 = 1 in
@@ -433,9 +231,8 @@ module Engine = struct
      count; [None] means the candidate's running count exceeded [limit]
      or a completed candidate's exact count, so it provably cannot have
      the (or tie the) minimum: the argmin over the [Some]s — and every
-     candidate tied with it — always survives, which is what makes the
-     sequential incumbent fold and the batched fold pick the same
-     winner. *)
+     candidate tied with it — always survives, so folding the [Some]s in
+     order picks the true winner. *)
   let disagreements_batch ?(limit = max_int)
       ?(tile_words = default_tile_words) ?(chunk = default_chunk) e graphs
       columns ~expected =
@@ -447,6 +244,7 @@ module Engine = struct
     if ncand = 0 then [||]
     else begin
       let n = check_batch_columns graphs columns ~expected in
+      let words = ref 0 in
       let result, tiles, early =
         Telemetry.span_ret ~cat:"engine" "engine.batch"
           ~args:(fun (_, tiles, early) ->
@@ -464,19 +262,16 @@ module Engine = struct
         in
         (* The expected row lives one row past every candidate's variables. *)
         let erow = max_vars * tw in
-        e.b_arena <- grow_exact e.b_arena ((max_vars + 1) * tw);
+        e.arena <- grow_exact e.arena ((max_vars + 1) * tw);
         compile_batch e graphs;
-        e.b_counts <- grow_exact e.b_counts ncand;
-        e.b_alive <- grow_exact e.b_alive ncand;
-        let arena = e.b_arena and code = e.b_code and starts = e.b_starts in
-        let counts = e.b_counts and alive = e.b_alive in
+        e.counts <- grow_exact e.counts ncand;
+        e.alive <- grow_exact e.alive ncand;
+        let arena = e.arena and code = e.code and starts = e.starts in
+        let counts = e.counts and alive = e.alive in
         Array.fill counts 0 ncand 0;
         Array.fill alive 0 ncand 1;
         Array.fill arena 0 tw 0 (* constant-false row, shared by all tiles *);
-        let tmask =
-          let r = n mod Words.bits_per_word in
-          if r = 0 then word_mask else (1 lsl r) - 1
-        in
+        let tmask = top_mask n in
         let limit_ref = ref limit in
         let tiles = ref 0 and early = ref 0 in
         let c0 = ref 0 in
@@ -496,8 +291,9 @@ module Engine = struct
             incr tiles;
             for c = !c0 to c1 - 1 do
               if Array.unsafe_get alive c = 1 then begin
-                sim_tile arena code starts.(c) starts.(c + 1) ~tw ~top
-                  ~final_word ~tmask;
+                let lo = starts.(c) and hi = starts.(c + 1) in
+                sim_tile arena code lo hi ~tw ~top ~final_word ~tmask;
+                words := !words + ((hi - lo) / 3 * (top + 1));
                 let out = Graph.output (Array.unsafe_get graphs c) in
                 let d = count_tile arena ~out ~erow ~tw ~top ~final_word ~tmask in
                 let total = counts.(c) + d in
@@ -535,6 +331,7 @@ module Engine = struct
       Telemetry.observe h_batch_size ncand;
       Telemetry.add c_batch_tiles tiles;
       Telemetry.add c_batch_early_exits early;
+      Telemetry.add c_words_simulated !words;
       result
     end
 
@@ -568,14 +365,11 @@ module Engine = struct
     let tw = tile_words in
     let n_tiles = (wpc + tw - 1) / tw in
     let nv = Graph.num_vars g in
-    e.b_arena <- grow_exact e.b_arena (nv * tw);
+    e.arena <- grow_exact e.arena (nv * tw);
     compile_batch e [| g |];
-    let arena = e.b_arena and code = e.b_code and starts = e.b_starts in
+    let arena = e.arena and code = e.code and starts = e.starts in
     Array.fill arena 0 tw 0;
-    let tmask =
-      let r = n mod Words.bits_per_word in
-      if r = 0 then word_mask else (1 lsl r) - 1
-    in
+    let tmask = top_mask n in
     let sigs = Array.init nv (fun _ -> Words.create n) in
     for t = 0 to n_tiles - 1 do
       let tile_off = t * tw in
@@ -594,6 +388,7 @@ module Engine = struct
     Telemetry.incr c_batch_runs;
     Telemetry.add c_batch_candidates 1;
     Telemetry.add c_batch_tiles n_tiles;
+    Telemetry.add c_words_simulated (Graph.num_ands g * wpc);
     sigs
 
   (* One engine per domain: arenas are reused across every evaluation the

@@ -13,7 +13,7 @@ val simulate : Graph.t -> Words.t array -> Words.t
 val simulate_all : Graph.t -> Words.t array -> Words.t array
 (** Like {!simulate} but returns the value vector of every variable
     (indexed by AIG variable; index 0 is the constant-false vector).
-    Used by the approximation pass to find candidate nodes. *)
+    The naive oracle for {!Engine.signatures_batch}. *)
 
 val random_patterns : Random.State.t -> num_inputs:int -> num_patterns:int -> Words.t array
 (** Fresh uniform input columns for [num_patterns] patterns. *)
@@ -22,21 +22,20 @@ val accuracy : Graph.t -> Words.t array -> Words.t -> float
 (** [accuracy g columns expected] is the fraction of patterns on which the
     simulated output agrees with [expected]. *)
 
-(** Reusable zero-allocation simulation context.
+(** Reusable zero-allocation simulation context: the one fused kernel
+    under every candidate evaluation.
 
-    The engine owns one flat int-array arena of [num_vars * num_words n]
-    words (variable [v]'s value vector lives at row [v]) and simulates
-    with fused in-place AND/ANDNOT/NOR word kernels — no per-node
-    allocation, no per-call allocation once the arena has grown to the
-    workload's high-water mark.  Results are bit-identical to {!simulate}
-    and {!accuracy}.
+    The engine simulates AIGs in cache-blocked tiles.  Each AND node is
+    compiled to a flat (dst var, fanin0, fanin1) int triple, and each tile
+    of [tile_words] 62-bit words per input column is loaded once into a
+    row-per-variable int arena.  Every candidate's AND/ANDNOT/NOR word
+    kernels then run over that tile while it is hot.  There is no
+    per-node allocation, and no per-tile allocation once the arena has
+    grown to the workload's high-water mark.  Results are bit-identical
+    to {!simulate_all} and {!accuracy}, which stay as the naive oracle.
 
-    Because {!Graph.t} is append-only under structural hashing, a run on
-    the same graph and the same columns as the previous run only
-    simulates the AND nodes added since (the engine tracks a watermark);
-    a run on anything else re-simulates from scratch.  Caching keys on
-    physical identity: the caller must not mutate the column contents
-    between runs on the same array.
+    Every call adds (AND nodes x words simulated) to the
+    [engine.words_simulated] telemetry counter.
 
     Engines are single-owner mutable state: use one per domain (see
     {!for_domain}), never share one across domains. *)
@@ -50,26 +49,6 @@ module Engine : sig
       score many candidates reuse one arena per domain without sharing
       mutable state across domains, preserving jobs=1 ≡ jobs=N runs. *)
 
-  val run : t -> Graph.t -> Words.t array -> unit
-  (** Simulate [g] on [columns] into the arena — incrementally when graph
-      and columns are physically the ones of the previous run.  Queries
-      below read the arena of the last [run]. *)
-
-  val simulate : t -> Graph.t -> Words.t array -> Words.t
-  (** [run] + a fresh copy of the output value vector; equals
-      {!Sim.simulate} bit for bit. *)
-
-  val accuracy : t -> Graph.t -> Words.t array -> Words.t -> float
-  (** [run] + fused xor-popcount against the expected outputs; equals
-      {!Sim.accuracy} bit for bit. *)
-
-  val disagreements :
-    ?limit:int -> t -> Graph.t -> Words.t array -> expected:Words.t -> int option
-  (** Number of patterns where the output differs from [expected], or
-      [None] as soon as the count provably exceeds [limit] (early exit —
-      a candidate that already lost a comparison is abandoned mid-count).
-      [Some d] is always the exact count. *)
-
   val disagreements_batch :
     ?limit:int ->
     ?tile_words:int ->
@@ -81,16 +60,17 @@ module Engine : sig
     int option array
   (** Score a whole batch of candidate AIGs against shared input columns
       in cache-blocked tiles: each tile of input/expected words is loaded
-      into the batch arena once and stays hot while every candidate's
-      fused kernels run over it ([chunk] candidates at a time, default
+      into the arena once and stays hot while every candidate's fused
+      kernels run over it ([chunk] candidates at a time, default
       {!default_chunk}).  Result [i] is [Some d] with candidate [i]'s
       exact disagreement count, or [None] once its running count exceeded
       [limit] or the best completed count of an earlier chunk — pruning
       requires a {e strictly} greater running count, so the minimum-count
       candidate and every candidate tied with it always come back exact.
-      Folding the [Some]s in order therefore picks the same winner as the
-      sequential incumbent loop over {!disagreements}, at a fraction of
-      the simulated words.  All graphs must share the column count;
+      Folding the [Some]s in order therefore picks the same winner as an
+      incumbent loop over exact counts, at a fraction of the simulated
+      words.  A batch of one with no [limit] is the exact count of a
+      single graph.  All graphs must share the column count;
       [tile_words] (default {!default_tile_words}) is the tile width in
       62-bit words.  Allocates nothing per tile at steady state: arena,
       code, and count buffers are engine state reused across calls. *)
@@ -104,7 +84,7 @@ module Engine : sig
     float array
   (** [disagreements_batch] run as a single chunk (no pruning can fire),
       folded to accuracies: result [i] equals
-      [accuracy e graphs.(i) columns expected] bit for bit. *)
+      [Sim.accuracy graphs.(i) columns expected] bit for bit. *)
 
   val signatures_batch : ?tile_words:int -> t -> Graph.t -> Words.t array -> Words.t array
   (** Tiled simulation of one graph that returns every variable's value
@@ -112,7 +92,8 @@ module Engine : sig
       their columns): equals {!Sim.simulate_all} with fresh vectors
       throughout.  Each row is extracted while its tile is hot, so the
       full-width result is written exactly once; used by the SAT
-      sweeper's signature refreshes. *)
+      sweeper's signature refreshes, repair's resubstitution and the
+      approximation pass. *)
 
   val default_tile_words : int
   (** Default tile width of the batched kernels, in 62-bit words; chosen
@@ -121,26 +102,4 @@ module Engine : sig
   val default_chunk : int
   (** Default number of candidates scored per tile pass between
       early-exit limit updates. *)
-
-  val num_patterns : t -> int
-  (** Patterns per column of the last [run]. *)
-
-  val signature : t -> int -> Words.t
-  (** [signature e v] is a fresh copy of variable [v]'s value vector from
-      the last [run]. *)
-
-  val popcount_var : t -> int -> int
-  (** Ones in variable [v]'s value vector, counted straight out of the
-      arena. *)
-
-  val output : t -> Words.t
-  (** Fresh copy of the output value vector of the last [run]. *)
-
-  type stats = {
-    full_runs : int;  (** runs that re-simulated from scratch *)
-    incremental_runs : int;  (** runs served from the watermark *)
-    ands_simulated : int;  (** total AND-node evaluations *)
-  }
-
-  val stats : t -> stats
 end

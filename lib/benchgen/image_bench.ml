@@ -7,8 +7,6 @@ type t = {
   prototypes : bool array array array;  (* class -> variant -> pixels *)
 }
 
-let num_pixels t = t.num_pixels
-
 let group_pairs =
   [| ([ 0; 1; 2; 3; 4 ], [ 5; 6; 7; 8; 9 ]);
      ([ 1; 3; 5; 7; 9 ], [ 0; 2; 4; 6; 8 ]);

@@ -18,9 +18,6 @@ type t
 
 val create : profile -> seed:int -> t
 
-val num_pixels : t -> int
-(** 196 for MNIST (14x14), 192 for CIFAR (8x8x3). *)
-
 val group_pairs : (int list * int list) array
 (** The paper's Table II: element [i] is (group A labels, group B labels)
     of comparison [i]; group A maps to output 0. *)

@@ -28,6 +28,7 @@ let instances_of config =
   List.map (fun id -> S.instantiate ~sizes:config.sizes ~seed:config.seed (S.benchmark id))
     config.ids
 
+(* ["team3/ex07"]: the journal key and fault-context key of a task. *)
 let task_key (solver : Solver.t) (inst : S.instance) =
   Printf.sprintf "%s/%s" solver.Solver.name inst.S.spec.S.name
 

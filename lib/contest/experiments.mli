@@ -65,9 +65,6 @@ val solve_grid :
     byte-identity) are exactly {!run_suite}'s; rows come back in
     canonical team-then-instance order. *)
 
-val task_key : Solver.t -> Benchgen.Suite.instance -> string
-(** ["team3/ex07"] — the journal key and fault-context key of a task. *)
-
 val journal_meta :
   ?repair:bool ->
   ?time_limit:float ->

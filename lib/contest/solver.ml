@@ -80,8 +80,8 @@ let pick_best ?sweep ~valid candidates =
        ([acc = 1 - d/n] is strictly decreasing in [d]).  [Some] counts
        are exact and the minimum always survives pruning, so the
        lexicographic (count, gates) fold below — first seen wins exact
-       ties — picks the same winner as the old sequential incumbent
-       loop. *)
+       ties — picks the same winner as a fold over every exact
+       count. *)
     let graphs = Array.of_list (List.map snd prepared) in
     let engine = Aig.Sim.Engine.for_domain () in
     let counts =

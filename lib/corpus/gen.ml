@@ -63,6 +63,7 @@ let all_categories =
 let category_of_name name =
   List.find_opt (fun c -> S.category_name c = name) all_categories
 
+(* Load one benchmark; the instance id is its corpus index. *)
 let instance_of t i =
   let e = Format.entry t i in
   let category =

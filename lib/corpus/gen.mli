@@ -22,10 +22,6 @@ val meta_of : config -> string
 val specs : config -> Benchgen.Families.spec list
 val generate_file : path:string -> config -> unit
 
-val instance_of : Format.t -> int -> Benchgen.Suite.instance
-(** Load one benchmark; the instance id is its corpus index.  A category
-    string minted by an unknown future generator degrades to
-    [Logic_cone] rather than failing. *)
 
 val instances : ?shard:Shard.t -> Format.t -> Benchgen.Suite.instance list
 (** Load the benchmarks of [shard] (all of them when omitted), in

@@ -4,9 +4,9 @@
     The sharded pipeline is byte-identity preserving end to end: shard
     journals carry the run fingerprint plus a [shard=k/n] tag,
     {!Resil.Journal.merge} reassembles them into the exact journal an
-    unsharded run writes, and {!rows_of_journal} turns that journal back
-    into the exact per-team rows an unsharded run holds in memory — so
-    the merged report is byte-identical to the single-process one. *)
+    unsharded run writes, and {!merge} turns that journal back into the
+    exact per-team rows an unsharded run holds in memory — so the merged
+    report is byte-identical to the single-process one. *)
 
 type options = {
   teams : Contest.Solver.t list;
@@ -46,14 +46,6 @@ val run :
     {!Contest.Experiments.run_suite}. *)
 
 val name_of : Format.t -> int -> string
-
-val rows_of_journal :
-  teams:Contest.Solver.t list ->
-  Format.t ->
-  Resil.Journal.t ->
-  ((string * Contest.Score.metrics list) list, string) result
-(** Reconstruct per-team rows from a complete journal; [Error] if any
-    (team, benchmark) row is missing or corrupt. *)
 
 val merge :
   sources:string list ->

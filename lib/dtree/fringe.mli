@@ -17,8 +17,6 @@ type feature =
   | Base of int
   | Comb of { op : op; neg_a : bool; a : feature; neg_b : bool; b : feature }
 
-val feature_equal : feature -> feature -> bool
-
 val eval_feature : feature -> bool array -> bool
 (** Evaluate over base inputs. *)
 

@@ -118,6 +118,7 @@ let train params d =
   in
   { params; trees }
 
+(* Sum of leaf values (log-odds). *)
 let predict_score m inputs =
   Array.fold_left (fun acc t -> acc +. rtree_value t inputs) 0.0 m.trees
 

@@ -31,11 +31,8 @@ type t = { params : params; trees : rtree array }
 
 val train : params -> Data.Dataset.t -> t
 
-val predict_score : t -> bool array -> float
-(** Sum of leaf values (log-odds). *)
-
 val predict : t -> bool array -> bool
-(** [predict_score >= 0]. *)
+(** Whether the sum of leaf values (log-odds) is non-negative. *)
 
 val predict_mask : t -> Words.t array -> Words.t
 

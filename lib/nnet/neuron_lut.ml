@@ -41,8 +41,8 @@ let to_aig ?(max_fanin = 14) ~num_inputs net =
 
 let quantized_accuracy g d =
   let engine = Aig.Sim.Engine.for_domain () in
-  Aig.Sim.Engine.accuracy engine g (Data.Dataset.columns d)
-    (Data.Dataset.outputs d)
+  (Aig.Sim.Engine.accuracy_batch engine [| g |] (Data.Dataset.columns d)
+     ~expected:(Data.Dataset.outputs d)).(0)
 
 let enumerate_to_aig ?(max_inputs = 20) ~num_inputs net =
   if num_inputs > max_inputs then

@@ -11,10 +11,7 @@ type 'a t
 val of_array : 'a array -> 'a t
 (** Deque holding the elements of the array, bottom end last.  The array is
     not copied and must not be mutated afterwards.  Raises
-    [Invalid_argument] beyond {!max_capacity} elements. *)
-
-val max_capacity : int
-(** Maximum number of elements a deque can hold. *)
+    [Invalid_argument] beyond 2{^24} - 1 elements. *)
 
 val pop : 'a t -> 'a option
 (** Claim the task at the bottom end (owner side); [None] when drained. *)

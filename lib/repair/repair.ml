@@ -217,11 +217,11 @@ let apply_cubes cand cubes =
 
 let errors_of engine g train =
   match
-    Aig.Sim.Engine.disagreements engine g (D.columns train)
+    Aig.Sim.Engine.disagreements_batch engine [| g |] (D.columns train)
       ~expected:(D.outputs train)
   with
-  | Some d -> d
-  | None -> assert false (* no limit given: the count is always exact *)
+  | [| Some d |] -> d
+  | _ -> assert false (* no limit given: the count is always exact *)
 
 (* Cleanup, then sweep, then approximate: whatever comes in, what goes
    into the loop respects the gate budget, so "at most [gate_budget]
@@ -338,7 +338,8 @@ let repair ?(config = default_config) ~train g0 =
       (* An existing node (either polarity) can replace the output when
          its signature fixes every counterexample of the batch and
          strictly lowers the majority-disagreement count: progress
-         without adding a single gate. *)
+         without adding a single gate.  Also returns the candidate's
+         output row, which [mux_patch] reuses instead of re-simulating. *)
       let cex_mask = W.create ns in
       List.iter
         (fun cex ->
@@ -348,10 +349,12 @@ let repair ?(config = default_config) ~train g0 =
         cexs;
       let mask_pop = W.popcount cex_mask in
       let sigs = Aig.Sim.Engine.signatures_batch engine !cand cols in
-      let cur = W.popcount (W.logxor (sigs.(G.var_of_lit (G.output !cand))) target) in
-      let cur =
-        if G.is_complemented (G.output !cand) then ns - cur else cur
+      let o = G.output !cand in
+      let out =
+        if G.is_complemented o then W.lognot sigs.(G.var_of_lit o)
+        else sigs.(G.var_of_lit o)
       in
+      let cur = W.popcount (W.logxor out target) in
       let found = ref None in
       let v = ref 0 in
       while !found = None && !v < Array.length sigs do
@@ -363,10 +366,9 @@ let repair ?(config = default_config) ~train g0 =
           found := Some (G.lit_of_var !v true);
         incr v
       done;
-      !found
+      (!found, out)
     in
-    let mux_patch cexs =
-      let out = Aig.Sim.Engine.simulate engine !cand cols in
+    let mux_patch out cexs =
       let corr = W.create ns in
       let wrong = ref (W.logxor out target) in
       let cubes = ref [] in
@@ -440,7 +442,7 @@ let repair ?(config = default_config) ~train g0 =
              | cexs, _ -> (
                  let patched =
                    match try_resub cexs with
-                   | Some l ->
+                   | Some l, _ ->
                        (* Transient retarget: [!cand] may still be the
                           tracked best, so restore its output after the
                           cleanup copies out the resubstituted cone. *)
@@ -450,7 +452,7 @@ let repair ?(config = default_config) ~train g0 =
                        let patched = Aig.Opt.cleanup !cand in
                        G.set_output !cand saved;
                        patched
-                   | None -> mux_patch cexs
+                   | None, out -> mux_patch out cexs
                  in
                  match clamp patched with
                  | None -> stop := Some Budget_bound

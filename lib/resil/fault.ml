@@ -38,8 +38,6 @@ let set_filter prefixes =
     | Some [] | None -> None
     | Some ps -> Some ps)
 
-let filter_prefixes () = Atomic.get filter
-
 let prefix_matches name p =
   let np = String.length p in
   String.length name >= np && String.sub name 0 np = p

@@ -38,9 +38,6 @@ val set_filter : string list option -> unit
     while solves underneath run clean).  [None] or [Some []] removes
     the filter — every declared point may fire again. *)
 
-val filter_prefixes : unit -> string list option
-(** The installed filter, if any. *)
-
 val configure_from_env : unit -> unit
 (** Reads [LSML_FAULT_RATE], [LSML_FAULT_SEED], and [LSML_FAULT_POINTS]
     (comma-separated name prefixes for {!set_filter}) if set. *)

@@ -111,7 +111,6 @@ let create () =
 
 let num_vars s = s.nvars
 let num_clauses s = s.n_clauses
-let num_learnts s = s.learnts.len
 let ok s = s.ok
 
 (* ---- heap ---- *)

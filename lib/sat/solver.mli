@@ -34,9 +34,6 @@ val num_clauses : t -> int
 (** Problem clauses added so far (after root-level simplification;
     satisfied-at-root clauses are not counted). *)
 
-val num_learnts : t -> int
-(** Learned clauses currently in the database. *)
-
 val add_clause : t -> lit list -> unit
 (** Add a clause (a disjunction of literals).  May only be called between
     [solve] calls.  Duplicate literals are merged, tautologies dropped,

@@ -1,5 +1,6 @@
 module G = Aig.Graph
 
+(* Conjunction of the cube's literals over the given input literals. *)
 let lit_of_cube g inputs cube =
   if Array.length inputs <> Sop.Cube.num_vars cube then
     invalid_arg "Sop_synth.lit_of_cube: arity mismatch";

@@ -1,10 +1,5 @@
 (** Sum-of-products to AIG. *)
 
-val lit_of_cube : Aig.Graph.t -> Aig.Graph.lit array -> Sop.Cube.t -> Aig.Graph.lit
-(** Conjunction of the cube's literals over the given input literals. *)
-
-val lit_of_cover : Aig.Graph.t -> Aig.Graph.lit array -> Sop.Cover.t -> Aig.Graph.lit
-
 val aig_of_cover : ?complemented:bool -> Sop.Cover.t -> Aig.Graph.t
 (** Fresh AIG for the cover; with [~complemented:true] the output is the
     cover's complement (used when espresso minimized the off-set). *)

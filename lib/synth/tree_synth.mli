@@ -6,7 +6,4 @@ val lit_of_tree :
 val aig_of_tree : num_inputs:int -> Dtree.Tree.t -> Aig.Graph.t
 (** Tree features must be plain input indices below [num_inputs]. *)
 
-val lit_of_feature :
-  Aig.Graph.t -> Aig.Graph.lit array -> Dtree.Fringe.feature -> Aig.Graph.lit
-
 val aig_of_fringe_model : num_inputs:int -> Dtree.Fringe.model -> Aig.Graph.t

@@ -52,15 +52,6 @@ let popcount_word w =
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
-let blit_to_array t dst ~pos =
-  Array.blit t.words 0 dst pos (Array.length t.words)
-
-let of_words src ~pos ~length =
-  let t = create length in
-  Array.blit src pos t.words 0 (Array.length t.words);
-  normalize t;
-  t
-
 let word t i = t.words.(i)
 
 (* Hot-path accessors for flat word arenas: the tiled batch kernel streams

@@ -32,16 +32,6 @@ val popcount_word : int -> int
     behind {!popcount}, exposed for fused kernels that count bits straight
     out of a word arena without materialising a [t]. *)
 
-val blit_to_array : t -> int array -> pos:int -> unit
-(** [blit_to_array t dst ~pos] copies the backing words of [t] into [dst]
-    starting at word index [pos].  [dst] must have room for
-    [num_words (length t)] words at [pos]. *)
-
-val of_words : int array -> pos:int -> length:int -> t
-(** [of_words src ~pos ~length] is a fresh set of [length] bits copied out
-    of the word array [src] at word index [pos].  Bits of the top word
-    beyond [length] are cleared. *)
-
 val word : t -> int -> int
 (** [word t i] is backing word [i] (62 packed bits).  Raises if [i] is out
     of range of the backing array. *)

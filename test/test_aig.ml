@@ -312,43 +312,44 @@ let prop_engine_matches_simulate =
       let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
       let expected = Words.random st n in
       let e = Engine.create () in
-      Words.equal (Aig.Sim.simulate g columns) (Engine.simulate e g columns)
-      && Aig.Sim.accuracy g columns expected
-         = Engine.accuracy e g columns expected)
+      let o = G.output g in
+      let row = (Engine.signatures_batch e g columns).(G.var_of_lit o) in
+      let out = if G.is_complemented o then Words.lognot row else row in
+      Words.equal (Aig.Sim.simulate g columns) out
+      && [| Aig.Sim.accuracy g columns expected |]
+         = Engine.accuracy_batch e [| g |] columns ~expected)
 
-let prop_engine_incremental =
-  QCheck.Test.make ~count:100 ~name:"incremental resim equals full resim"
+let prop_signatures_match_oracle =
+  QCheck.Test.make ~count:100 ~name:"signatures_batch equals simulate_all"
     (QCheck.make QCheck.Gen.(int_bound 1000))
     (fun seed ->
-      let st = Random.State.make [| 0x17c; seed |] in
-      let num_inputs = 1 + Random.State.int st 5 in
+      let st = Random.State.make [| 0x51c; seed |] in
+      let num_inputs = 1 + Random.State.int st 6 in
       let g =
-        random_graph st ~num_inputs ~num_nodes:(1 + Random.State.int st 40)
+        random_graph st ~num_inputs ~num_nodes:(1 + Random.State.int st 60)
       in
-      let n = 1 + Random.State.int st 150 in
-      let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
-      let e = Engine.create () in
-      ignore (Engine.simulate e g columns);
-      (* Append new nodes to the already-simulated graph: the next run on
-         the same (graph, columns) pair must take the incremental path and
-         still agree with a from-scratch simulation. *)
-      let pool =
-        ref (List.init num_inputs (G.input g) @ [ G.output g ])
-      in
-      for _ = 1 to 1 + Random.State.int st 20 do
-        let pick () =
-          let l = List.nth !pool (Random.State.int st (List.length !pool)) in
-          G.lit_notif l (Random.State.bool st)
-        in
-        let l = G.and_ g (pick ()) (pick ()) in
-        pool := l :: !pool
+      (* NOR nodes straight off the inputs: their complemented fan-ins
+         set the bits past the pattern count in the final word, which the
+         kernel must mask. *)
+      for _ = 1 to 1 + Random.State.int st 4 do
+        let i = Random.State.int st num_inputs
+        and j = Random.State.int st num_inputs in
+        G.set_output g
+          (G.and_ g (G.lit_not (G.output g))
+             (G.and_ g (G.lit_not (G.input g i)) (G.lit_not (G.input g j))))
       done;
-      G.set_output g (List.hd !pool);
-      let incr_out = Engine.simulate e g columns in
-      let stats = Engine.stats e in
-      Words.equal incr_out (Aig.Sim.simulate g columns)
-      && stats.Engine.full_runs = 1
-      && stats.Engine.incremental_runs = 1)
+      (* Mostly partial top words; every few seeds a whole number of
+         words. *)
+      let n =
+        if seed mod 5 = 0 then Words.bits_per_word * (1 + Random.State.int st 8)
+        else 1 + Random.State.int st 500
+      in
+      let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
+      let tile_words = 1 + Random.State.int st 6 in
+      let oracle = Aig.Sim.simulate_all g columns in
+      let sigs = Engine.signatures_batch ~tile_words (Engine.create ()) g columns in
+      Array.length sigs = Array.length oracle
+      && Array.for_all2 Words.equal sigs oracle)
 
 let prop_engine_early_exit =
   QCheck.Test.make ~count:100 ~name:"early-exit disagreement count is exact"
@@ -364,17 +365,15 @@ let prop_engine_early_exit =
       let expected = Words.random st n in
       let e = Engine.create () in
       let exact =
-        match Engine.disagreements e g columns ~expected with
-        | Some d -> d
-        | None -> -1
+        Words.popcount (Words.logxor (Aig.Sim.simulate g columns) expected)
       in
       let limit = Random.State.int st (n + 1) in
-      exact >= 0
-      && exact = Words.popcount (Words.logxor (Aig.Sim.simulate g columns) expected)
+      Engine.disagreements_batch e [| g |] columns ~expected = [| Some exact |]
       &&
-      match Engine.disagreements ~limit e g columns ~expected with
-      | Some d -> d = exact && exact <= limit
-      | None -> exact > limit)
+      match Engine.disagreements_batch ~limit e [| g |] columns ~expected with
+      | [| Some d |] -> d = exact && exact <= limit
+      | [| None |] -> exact > limit
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Batched (tiled) candidate evaluation                                *)
@@ -390,7 +389,7 @@ let test_batch_edges () =
   (* Empty batch. *)
   check_int "empty batch" 0
     (Array.length (Engine.disagreements_batch e [||] columns ~expected));
-  (* Single candidate: equals the scalar engine bit for bit. *)
+  (* Single candidate: equals the naive oracle bit for bit. *)
   let g = random_graph st ~num_inputs ~num_nodes:30 in
   let accs = Engine.accuracy_batch e [| g |] columns ~expected in
   check_int "single candidate count" 1 (Array.length accs);
@@ -447,7 +446,7 @@ let prop_batch_matches_sequential =
       let e = Engine.create () in
       let tile_words = 1 + Random.State.int st 6 in
       let chunk = 1 + Random.State.int st 4 in
-      (* accuracy_batch: bit-identical to the scalar path per candidate. *)
+      (* accuracy_batch: bit-identical to the naive oracle per candidate. *)
       let accs = Engine.accuracy_batch ~tile_words e graphs columns ~expected in
       let accs_ok =
         Array.for_all Fun.id
@@ -457,7 +456,7 @@ let prop_batch_matches_sequential =
       in
       (* disagreements_batch: every Some is the exact count, every None
          exceeds the global minimum, and the (count, gates) fold picks
-         the same winner as the sequential incumbent loop. *)
+         the same winner as an incumbent loop over the oracle counts. *)
       let exact =
         Array.map
           (fun g ->
@@ -496,16 +495,10 @@ let prop_batch_matches_sequential =
         let best = ref None in
         Array.iteri
           (fun i g ->
-            let limit =
-              match !best with None -> max_int | Some (d, _, _) -> d
-            in
-            match Engine.disagreements ~limit e g columns ~expected with
-            | None -> ()
-            | Some d -> (
-                let gates = G.num_ands g in
-                match !best with
-                | Some (bd, bg, _) when d > bd || (d = bd && gates >= bg) -> ()
-                | _ -> best := Some (d, gates, i)))
+            let d = exact.(i) and gates = G.num_ands g in
+            match !best with
+            | Some (bd, bg, _) when d > bd || (d = bd && gates >= bg) -> ()
+            | _ -> best := Some (d, gates, i))
           graphs;
         match !best with Some (_, _, i) -> i | None -> -1
       in
@@ -619,6 +612,6 @@ let suites =
           test_batch_gc_steady ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ prop_cleanup; prop_import; prop_balance_preserves_function;
-            prop_engine_matches_simulate; prop_engine_incremental;
+            prop_engine_matches_simulate; prop_signatures_match_oracle;
             prop_engine_early_exit; prop_batch_matches_sequential;
             prop_import_skips_unreachable ] ) ]

@@ -79,23 +79,6 @@ let properties =
         let visited = Words.to_list wa in
         List.for_all (Words.get wa) visited
         && List.length visited = Words.popcount wa);
-    prop "blit_to_array/of_words roundtrip" gen_pair (fun (n, a, _) ->
-        let wa = of_list n a in
-        let pos = 3 in
-        let dst = Array.make (pos + Words.num_words n) max_int in
-        Words.blit_to_array wa dst ~pos;
-        Words.equal wa (Words.of_words dst ~pos ~length:n));
-    prop "of_words clears bits past length" gen_pair (fun (n, a, _) ->
-        let wa = of_list n a in
-        let dst = Array.make (Words.num_words n) 0 in
-        Words.blit_to_array wa dst ~pos:0;
-        (* Re-adopt at a shorter length: the dropped tail must not leak
-           into popcount or equality. *)
-        let short = max 1 (n / 2) in
-        let trimmed = Words.of_words dst ~pos:0 ~length:short in
-        Words.popcount trimmed
-        = List.length
-            (List.filteri (fun i x -> i < short && x) a));
     prop "popcount_word sums to popcount" gen_pair (fun (n, a, _) ->
         let wa = of_list n a in
         let total = ref 0 in
