@@ -70,8 +70,7 @@ let perf ?(quick = false) () =
       Test.make ~name:"engine-accuracy-6400pat"
         (Staged.stage (fun () ->
              ignore
-               (Aig.Sim.Engine.accuracy_batch engine [| parity_aig |] columns
-                  ~expected)));
+               (Aig.Sim.Engine.accuracy engine parity_aig columns ~expected)));
       Test.make ~name:"dtree-train-depth8"
         (Staged.stage (fun () ->
              ignore
@@ -144,8 +143,8 @@ let time_ns f =
 
 (* The solver's inner loop: score many candidate circuits against the same
    validation columns.  The naive path allocates a fresh value vector per
-   AND node per call; the engine scores the whole portfolio in one tiled
-   batch over one reused arena. *)
+   AND node per call; the engine scores each candidate through the tiled
+   kernel over one reused arena. *)
 let solver_accuracy_loop ~reps =
   let num_inputs = 20 and num_patterns = 512 in
   let st = Random.State.make [| 0xbe7c; 1 |] in
@@ -170,8 +169,11 @@ let solver_accuracy_loop ~reps =
     time_ns (fun () ->
         for _ = 1 to reps do
           Array.iter
-            (fun a -> engine_sink := !engine_sink +. a)
-            (Aig.Sim.Engine.accuracy_batch engine candidates columns ~expected)
+            (fun g ->
+              engine_sink :=
+                !engine_sink
+                +. Aig.Sim.Engine.accuracy engine g columns ~expected)
+            candidates
         done)
   in
   if !sink <> !engine_sink then
@@ -186,13 +188,14 @@ let solver_accuracy_loop ~reps =
 
 (* The portfolio pick: one good candidate and a field of losers, scored
    against the same validation columns by the same tiled kernel.  The
-   baseline runs the whole portfolio as one chunk with no limit, so no
-   candidate can be pruned and every one is simulated to the end.  The
-   pick uses the default chunking, which abandons losers after their
-   first tiles and so skips most of the *simulation*, which is where the
+   baseline scores every candidate with no limit, so none can be pruned
+   and every one is simulated to the end.  The pick is
+   [Solver.pick_best]'s incumbent loop, which gives each candidate the
+   best count so far as its limit and so abandons losers after their
+   first tiles, skipping most of the *simulation*, which is where the
    time goes: the ratio isolates the tiled early exit.  Candidate 0
    computes the expected function up to ~2% noise, so the limit tightens
-   after the first chunk; every other candidate is unrelated logic
+   after the first candidate; every other candidate is unrelated logic
    sitting at ~50% disagreement. *)
 let pick_best_setup () =
   let num_inputs = 20 and num_patterns = 16384 in
@@ -209,42 +212,44 @@ let pick_best_setup () =
   done;
   (columns, expected, candidates)
 
-let batched_pick ?tile_words ?chunk engine candidates columns ~expected =
-  let counts =
-    Aig.Sim.Engine.disagreements_batch ?tile_words ?chunk engine candidates
-      columns ~expected
-  in
-  let best = ref None in
+(* Index of the candidate with the fewest disagreements, first seen
+   winning ties.  With [prune], each candidate's limit is the best count
+   so far; without, every count is exact. *)
+let incumbent_pick ?tile_words ~prune engine candidates columns ~expected =
+  let best = ref (-1) and best_d = ref max_int in
   Array.iteri
-    (fun i c ->
-      match c with
-      | None -> ()
-      | Some d -> (
-          match !best with
-          | Some (bd, _) when d >= bd -> ()
-          | _ -> best := Some (d, i)))
-    counts;
-  match !best with Some (_, i) -> i | None -> assert false
+    (fun i g ->
+      let limit = if prune then !best_d else max_int in
+      match
+        Aig.Sim.Engine.disagreements ~limit ?tile_words engine g columns
+          ~expected
+      with
+      | Some d when d < !best_d ->
+          best := i;
+          best_d := d
+      | Some _ | None -> ())
+    candidates;
+  !best
 
 let pick_best_batch_loop ~reps =
   let columns, expected, candidates = pick_best_setup () in
   let engine = Aig.Sim.Engine.create () in
+  let pick ~prune = incumbent_pick ~prune engine candidates columns ~expected in
   let naive_winner = ref (-1) in
-  let chunk = Array.length candidates in
   let naive_total =
     time_ns (fun () ->
         for _ = 1 to reps do
-          naive_winner := batched_pick ~chunk engine candidates columns ~expected
+          naive_winner := pick ~prune:false
         done)
   in
-  let batch_winner = ref (-2) in
+  let pruned_winner = ref (-2) in
   let engine_total =
     time_ns (fun () ->
         for _ = 1 to reps do
-          batch_winner := batched_pick engine candidates columns ~expected
+          pruned_winner := pick ~prune:true
         done)
   in
-  if !naive_winner <> !batch_winner then
+  if !naive_winner <> !pruned_winner then
     failwith "pick-best-batch: pruned winner diverged from the unpruned one";
   {
     loop_name = "pick-best-batch";
@@ -292,7 +297,7 @@ let forest_intra_loop ~jobs ~reps =
 let speedup_of r = if r.engine_ns > 0.0 then r.naive_ns /. r.engine_ns else 0.0
 
 (* ------------------------------------------------------------------ *)
-(* Tile-size sweep for the batched kernel                              *)
+(* Tile-size sweep for the tiled kernel                                *)
 (* ------------------------------------------------------------------ *)
 
 type tile_result = {
@@ -301,21 +306,19 @@ type tile_result = {
 }
 
 let tile_sweep ~reps () =
-  Contest.Report.heading "Batched pick-best tile-size sweep";
+  Contest.Report.heading "Incumbent pick-best tile-size sweep";
   let columns, expected, candidates = pick_best_setup () in
   let engine = Aig.Sim.Engine.create () in
   let results =
     List.map
       (fun tw ->
-        ignore (batched_pick ~tile_words:tw engine candidates columns ~expected);
-        let total =
-          time_ns (fun () ->
-              for _ = 1 to reps do
-                ignore
-                  (batched_pick ~tile_words:tw engine candidates columns
-                     ~expected)
-              done)
+        let pick () =
+          ignore
+            (incumbent_pick ~tile_words:tw ~prune:true engine candidates
+               columns ~expected)
         in
+        pick ();
+        let total = time_ns (fun () -> for _ = 1 to reps do pick () done) in
         { tile_words = tw; tile_ns = total /. float_of_int reps })
       [ 4; 8; 16; 32; 64 ]
   in

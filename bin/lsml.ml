@@ -5,16 +5,12 @@ open Cmdliner
 
 module S = Benchgen.Suite
 
-let solver_of_name name =
-  List.find_opt (fun (t : Contest.Solver.t) -> t.Contest.Solver.name = name)
-    Contest.Teams.all
-
 let teams_of_spec = function
   | None -> Contest.Teams.all
   | Some spec ->
       List.map
         (fun name ->
-          match solver_of_name name with
+          match Contest.Teams.find name with
           | Some t -> t
           | None ->
               Printf.eprintf "unknown team %s\n" name;
@@ -157,7 +153,7 @@ let solve_jobs_arg =
 
 let solve_cmd =
   let run team train valid out sweep trace jobs repair =
-    match solver_of_name team with
+    match Contest.Teams.find team with
     | None ->
         Printf.eprintf "unknown team %s\n" team;
         exit 2
@@ -688,7 +684,7 @@ let suite_cmd =
 
 let run_cmd =
   let run id team full seed =
-    match solver_of_name team with
+    match Contest.Teams.find team with
     | None ->
         Printf.eprintf "unknown team %s\n" team;
         exit 2

@@ -34,9 +34,7 @@ let approximate_once ?(num_patterns = 1024) ?patterns ?(protect_levels = 4)
         if Array.length columns = 0 then num_patterns
         else Words.length columns.(0)
       in
-      let sigs =
-        Sim.Engine.signatures_batch (Sim.Engine.for_domain ()) g columns
-      in
+      let sigs = Sim.Engine.signatures (Sim.Engine.for_domain ()) g columns in
       let level = var_levels g in
       let out_level = level.(Graph.var_of_lit (Graph.output g)) in
       let protect = max 0 (out_level - protect_levels) in

@@ -59,38 +59,24 @@ let accuracy g columns expected =
 module Engine = struct
   let word_mask = (1 lsl Words.bits_per_word) - 1
   let c_words_simulated = Telemetry.counter "engine.words_simulated"
-  let c_batch_runs = Telemetry.counter "engine.batch_runs"
   let c_batch_candidates = Telemetry.counter "engine.batch_candidates"
-  let c_batch_tiles = Telemetry.counter "engine.batch_tiles"
   let c_batch_early_exits = Telemetry.counter "engine.batch_early_exits"
-  let h_batch_size = Telemetry.histogram "engine.batch_size"
 
-  (* State reused across calls so the tiled kernel allocates nothing at
-     steady state (see [disagreements_batch]). *)
+  (* Buffers reused across calls so the tiled kernel allocates nothing at
+     steady state. *)
   type t = {
     mutable arena : int array;  (* tile arena: row [v] at [v * tile_words] *)
-    mutable code : int array;  (* concatenated (dst var, f0, f1) triples *)
-    mutable starts : int array;  (* candidate [c]'s code at [starts.(c) ..) *)
-    mutable counts : int array;  (* running disagreement count per candidate *)
-    mutable alive : int array;  (* 1 = still in the race, 0 = pruned *)
+    mutable code : int array;  (* the graph's (dst var, f0, f1) triples *)
   }
 
-  let create () =
-    { arena = [||]; code = [||]; starts = [||]; counts = [||]; alive = [||] }
+  let create () = { arena = [||]; code = [||] }
 
   (* Tile width in words.  62 bits/word x 16 words = 992 patterns per
-     tile: a 600-gate candidate touches ~620 rows x 16 words = 80 KB per
-     tile, which sits in L2 with the shared input rows hot in L1, instead
-     of streaming a multi-megabyte full-width arena per candidate.
-     Chosen by the bench tile-size sweep (see EXPERIMENTS.md). *)
+     tile: a 600-gate graph touches ~620 rows x 16 words = 80 KB per
+     tile, which sits in L2 with the input rows hot in L1, instead of
+     streaming a multi-megabyte full-width arena.  Chosen by the bench
+     tile-size sweep (see EXPERIMENTS.md). *)
   let default_tile_words = 16
-
-  (* Candidates per chunk.  Every candidate in a chunk is simulated over
-     each tile while the tile is hot; between chunks the best exact count
-     so far tightens the early-exit limit, so later chunks abandon losing
-     candidates after their first tiles instead of simulating them to the
-     end. *)
-  let default_chunk = 4
 
   (* Mask of the valid bits in the top word of an [n]-pattern row. *)
   let top_mask n =
@@ -101,32 +87,24 @@ module Engine = struct
     if Array.length arr >= needed then arr
     else Array.make (max needed (2 * Array.length arr)) 0
 
-  (* Flatten every candidate's AND nodes into (dst var, fanin0, fanin1)
-     int triples: the per-tile inner loop then walks a flat code array
-     instead of re-traversing the graph through a closure per tile. *)
-  let compile_batch e graphs =
-    let ncand = Array.length graphs in
-    let total =
-      Array.fold_left (fun acc g -> acc + Graph.num_ands g) 0 graphs
-    in
-    e.code <- grow_exact e.code (3 * total);
-    e.starts <- grow_exact e.starts (ncand + 1);
-    let code = e.code and starts = e.starts in
+  (* Flatten the graph's AND nodes into (dst var, fanin0, fanin1) int
+     triples: the per-tile inner loop then walks a flat code array instead
+     of re-traversing the graph through a closure per tile.  Returns the
+     end of the code. *)
+  let compile e g =
+    e.code <- grow_exact e.code (3 * Graph.num_ands g);
+    let code = e.code in
     let pos = ref 0 in
-    Array.iteri
-      (fun c g ->
-        starts.(c) <- !pos;
-        Graph.iter_ands g (fun var f0 f1 ->
-            code.(!pos) <- var;
-            code.(!pos + 1) <- f0;
-            code.(!pos + 2) <- f1;
-            pos := !pos + 3))
-      graphs;
-    starts.(ncand) <- !pos
+    Graph.iter_ands g (fun var f0 f1 ->
+        code.(!pos) <- var;
+        code.(!pos + 1) <- f0;
+        code.(!pos + 2) <- f1;
+        pos := !pos + 3);
+    !pos
 
   (* Copy the tile's words of every input column into rows 1..n_inputs.
-     Row 0 (constant false) is zeroed once per call by the caller and
-     never written by the kernels. *)
+     Row 0 (constant false) is zeroed once per call and never written by
+     the kernels. *)
   let load_tile arena columns ~tw ~tile_off ~top =
     for i = 0 to Array.length columns - 1 do
       let base = (1 + i) * tw in
@@ -137,7 +115,7 @@ module Engine = struct
       done
     done
 
-  (* One candidate's fused in-place AND/ANDNOT/NOR kernels over one tile,
+  (* The graph's fused in-place AND/ANDNOT/NOR kernels over one tile,
      words [0 .. top] of each row.  Every arena index is in range by
      construction (rows are [var < num_vars] and the arena spans them),
      so the inner loops use unsafe accesses: this is the hot path of the
@@ -145,8 +123,8 @@ module Engine = struct
      [final_word] is the in-tile index of the globally-last word of a row
      (-1 when this tile is not the last): only there can bits beyond the
      pattern count appear, and only the NOR case can set them. *)
-  let sim_tile arena code lo hi ~tw ~top ~final_word ~tmask =
-    let i = ref lo in
+  let sim_tile arena code hi ~tw ~top ~final_word ~tmask =
+    let i = ref 0 in
     while !i < hi do
       let var = Array.unsafe_get code !i in
       let f0 = Array.unsafe_get code (!i + 1) in
@@ -186,10 +164,10 @@ module Engine = struct
       i := !i + 3
     done
 
-  (* Fused xor-popcount of a candidate's output row against the expected
-     row, over one tile: a complemented output is negated and masked word
-     by word. *)
-  let count_tile arena ~out ~erow ~tw ~top ~final_word ~tmask =
+  (* Fused xor-popcount of the graph's output row against [expected],
+     over one tile: a complemented output is negated and masked word by
+     word. *)
+  let count_tile arena ~out ~expected ~tw ~tile_off ~top ~final_word ~tmask =
     let base = (out lsr 1) * tw in
     let comp = out land 1 = 1 in
     let d = ref 0 in
@@ -200,195 +178,101 @@ module Engine = struct
           lnot ow land (if k = final_word then tmask else word_mask)
         else ow
       in
-      d := !d + Words.popcount_word (ow lxor Array.unsafe_get arena (erow + k))
+      d :=
+        !d
+        + Words.popcount_word
+            (ow lxor Words.unsafe_word expected (tile_off + k))
     done;
     !d
 
-  let check_batch_columns graphs columns ~expected =
-    let n_inputs = Array.length columns in
-    Array.iter
-      (fun g ->
-        if Graph.num_inputs g <> n_inputs then
-          invalid_arg "Sim.Engine: batch input count mismatch")
-      graphs;
-    let n =
-      if n_inputs = 0 then Words.length expected
-      else begin
-        let n = Words.length columns.(0) in
-        Array.iter
-          (fun c ->
-            if Words.length c <> n then invalid_arg "Sim: ragged columns")
-          columns;
-        n
-      end
-    in
-    if Words.length expected <> n then
-      invalid_arg "Sim.Engine: batch expected length mismatch";
-    n
-
-  (* Score every candidate against the shared [columns]/[expected] in
-     cache-blocked tiles.  [Some d] is always the exact disagreement
-     count; [None] means the candidate's running count exceeded [limit]
-     or a completed candidate's exact count, so it provably cannot have
-     the (or tie the) minimum: the argmin over the [Some]s — and every
-     candidate tied with it — always survives, so folding the [Some]s in
-     order picks the true winner. *)
-  let disagreements_batch ?(limit = max_int)
-      ?(tile_words = default_tile_words) ?(chunk = default_chunk) e graphs
-      columns ~expected =
-    if tile_words < 1 then
-      invalid_arg "Sim.Engine.disagreements_batch: tile_words must be >= 1";
-    if chunk < 1 then
-      invalid_arg "Sim.Engine.disagreements_batch: chunk must be >= 1";
-    let ncand = Array.length graphs in
-    if ncand = 0 then [||]
-    else begin
-      let n = check_batch_columns graphs columns ~expected in
-      let words = ref 0 in
-      let result, tiles, early =
-        Telemetry.span_ret ~cat:"engine" "engine.batch"
-          ~args:(fun (_, tiles, early) ->
-            [
-              ("candidates", Telemetry.Int ncand);
-              ("tiles", Telemetry.Int tiles);
-              ("early_exited", Telemetry.Int early);
-            ])
-        @@ fun () ->
-        let wpc = Words.num_words n in
-        let tw = tile_words in
-        let n_tiles = (wpc + tw - 1) / tw in
-        let max_vars =
-          Array.fold_left (fun acc g -> max acc (Graph.num_vars g)) 1 graphs
-        in
-        (* The expected row lives one row past every candidate's variables. *)
-        let erow = max_vars * tw in
-        e.arena <- grow_exact e.arena ((max_vars + 1) * tw);
-        compile_batch e graphs;
-        e.counts <- grow_exact e.counts ncand;
-        e.alive <- grow_exact e.alive ncand;
-        let arena = e.arena and code = e.code and starts = e.starts in
-        let counts = e.counts and alive = e.alive in
-        Array.fill counts 0 ncand 0;
-        Array.fill alive 0 ncand 1;
-        Array.fill arena 0 tw 0 (* constant-false row, shared by all tiles *);
-        let tmask = top_mask n in
-        let limit_ref = ref limit in
-        let tiles = ref 0 and early = ref 0 in
-        let c0 = ref 0 in
-        while !c0 < ncand do
-          let c1 = min (!c0 + chunk) ncand in
-          let live = ref (c1 - !c0) in
-          let t = ref 0 in
-          while !t < n_tiles && !live > 0 do
-            let tile_off = !t * tw in
-            let top = min tw (wpc - tile_off) - 1 in
-            let final_word = if !t = n_tiles - 1 then top else -1 in
-            load_tile arena columns ~tw ~tile_off ~top;
-            for k = 0 to top do
-              Array.unsafe_set arena (erow + k)
-                (Words.unsafe_word expected (tile_off + k))
-            done;
-            incr tiles;
-            for c = !c0 to c1 - 1 do
-              if Array.unsafe_get alive c = 1 then begin
-                let lo = starts.(c) and hi = starts.(c + 1) in
-                sim_tile arena code lo hi ~tw ~top ~final_word ~tmask;
-                words := !words + ((hi - lo) / 3 * (top + 1));
-                let out = Graph.output (Array.unsafe_get graphs c) in
-                let d = count_tile arena ~out ~erow ~tw ~top ~final_word ~tmask in
-                let total = counts.(c) + d in
-                counts.(c) <- total;
-                if total > !limit_ref then begin
-                  alive.(c) <- 0;
-                  decr live;
-                  incr early
-                end
-              end
-            done;
-            incr t
-          done;
-          (* Chunk complete: survivors hold exact counts (a completed
-             candidate is never pruned after the fact — exact values are
-             strictly more informative than [None]).  Tightening the
-             limit to the best completed count lets later chunks abandon
-             losers after their first tile; pruning still requires a
-             strictly greater running count, so the global minimum and
-             every candidate tied with it always come back exact. *)
-          for c = !c0 to c1 - 1 do
-            if alive.(c) = 1 && counts.(c) < !limit_ref then
-              limit_ref := counts.(c)
-          done;
-          c0 := c1
-        done;
-        let res =
-          Array.init ncand (fun c ->
-              if alive.(c) = 1 then Some counts.(c) else None)
-        in
-        (res, !tiles, !early)
-      in
-      Telemetry.incr c_batch_runs;
-      Telemetry.add c_batch_candidates ncand;
-      Telemetry.observe h_batch_size ncand;
-      Telemetry.add c_batch_tiles tiles;
-      Telemetry.add c_batch_early_exits early;
-      Telemetry.add c_words_simulated !words;
-      result
-    end
-
-  (* Exact accuracies need every count, so run the whole batch as one
-     chunk: the early-exit limit only ever tightens between chunks, and a
-     single chunk with [limit = max_int] can prune nothing. *)
-  let accuracy_batch ?tile_words e graphs columns ~expected =
-    let ds =
-      disagreements_batch ~limit:max_int ?tile_words
-        ~chunk:(max 1 (Array.length graphs)) e graphs columns ~expected
-    in
-    let n = Words.length expected in
-    Array.map
-      (function
-        | Some d ->
-            if n = 0 then 1.0
-            else 1.0 -. (float_of_int d /. float_of_int n)
-        | None -> assert false (* limit = max_int: counts are exact *))
-      ds
-
-  (* Tiled single-graph simulation that materialises every variable's
-     signature — the batch-of-one degenerate case, used by the SAT
-     sweeper's base and per-round counterexample refreshes.  Each row is
-     extracted into its result vector while the tile is still hot, so the
-     full-width output is written exactly once. *)
-  let signatures_batch ?(tile_words = default_tile_words) e g columns =
-    if tile_words < 1 then
-      invalid_arg "Sim.Engine.signatures_batch: tile_words must be >= 1";
-    let n = check_columns g columns in
-    let wpc = Words.num_words n in
+  (* The one tile loop under every entry point: compile [g], then per
+     tile load the input words, run [g]'s kernels and hand the hot arena
+     to [visit], which returns [false] to stop early (an early exit).
+     Returns whether every tile was visited. *)
+  let run_tiles ~tile_words e g columns ~n visit =
+    if tile_words < 1 then invalid_arg "Sim.Engine: tile_words must be >= 1";
     let tw = tile_words in
+    let wpc = Words.num_words n in
     let n_tiles = (wpc + tw - 1) / tw in
+    let _, completed =
+      Telemetry.span_ret ~cat:"engine" "engine.batch"
+        ~args:(fun (tiles, completed) ->
+          [
+            ("candidates", Telemetry.Int 1);
+            ("tiles", Telemetry.Int tiles);
+            ("early_exited", Telemetry.Int (if completed then 0 else 1));
+          ])
+      @@ fun () ->
+      e.arena <- grow_exact e.arena (Graph.num_vars g * tw);
+      let hi = compile e g in
+      let arena = e.arena and code = e.code in
+      Array.fill arena 0 tw 0 (* constant-false row, shared by all tiles *);
+      let tmask = top_mask n in
+      let t = ref 0 and go = ref true in
+      while !go && !t < n_tiles do
+        let tile_off = !t * tw in
+        let top = min tw (wpc - tile_off) - 1 in
+        let final_word = if !t = n_tiles - 1 then top else -1 in
+        load_tile arena columns ~tw ~tile_off ~top;
+        sim_tile arena code hi ~tw ~top ~final_word ~tmask;
+        incr t;
+        go := visit arena ~tile_off ~top ~final_word ~tmask
+      done;
+      Telemetry.add c_words_simulated (Graph.num_ands g * min wpc (!t * tw));
+      (!t, !go)
+    in
+    Telemetry.incr c_batch_candidates;
+    if not completed then Telemetry.incr c_batch_early_exits;
+    completed
+
+  (* [Some d] is always the exact disagreement count; [None] means the
+     running count exceeded [limit] after some tile, so the exact count
+     is provably greater than [limit] too. *)
+  let disagreements ?(limit = max_int) ?(tile_words = default_tile_words) e g
+      columns ~expected =
+    (* With no inputs the pattern count comes from [expected]. *)
+    let n = check_columns g columns in
+    let n = if Array.length columns = 0 then Words.length expected else n in
+    if Words.length expected <> n then
+      invalid_arg "Sim.Engine: expected length mismatch";
+    let out = Graph.output g in
+    let d = ref 0 in
+    let completed =
+      run_tiles ~tile_words e g columns ~n
+        (fun arena ~tile_off ~top ~final_word ~tmask ->
+          d :=
+            !d
+            + count_tile arena ~out ~expected ~tw:tile_words ~tile_off ~top
+                ~final_word ~tmask;
+          !d <= limit)
+    in
+    if completed then Some !d else None
+
+  let accuracy ?tile_words e g columns ~expected =
+    match disagreements ?tile_words e g columns ~expected with
+    | Some d ->
+        let n = Words.length expected in
+        if n = 0 then 1.0 else 1.0 -. (float_of_int d /. float_of_int n)
+    | None -> assert false (* no limit: the count is exact *)
+
+  (* Each row is extracted into its result vector while the tile is still
+     hot, so the full-width output is written exactly once. *)
+  let signatures ?(tile_words = default_tile_words) e g columns =
+    let n = check_columns g columns in
     let nv = Graph.num_vars g in
-    e.arena <- grow_exact e.arena (nv * tw);
-    compile_batch e [| g |];
-    let arena = e.arena and code = e.code and starts = e.starts in
-    Array.fill arena 0 tw 0;
-    let tmask = top_mask n in
     let sigs = Array.init nv (fun _ -> Words.create n) in
-    for t = 0 to n_tiles - 1 do
-      let tile_off = t * tw in
-      let top = min tw (wpc - tile_off) - 1 in
-      let final_word = if t = n_tiles - 1 then top else -1 in
-      load_tile arena columns ~tw ~tile_off ~top;
-      sim_tile arena code starts.(0) starts.(1) ~tw ~top ~final_word ~tmask;
-      for v = 0 to nv - 1 do
-        let base = v * tw in
-        let sg = Array.unsafe_get sigs v in
-        for k = 0 to top do
-          Words.set_word sg (tile_off + k) (Array.unsafe_get arena (base + k))
-        done
-      done
-    done;
-    Telemetry.incr c_batch_runs;
-    Telemetry.add c_batch_candidates 1;
-    Telemetry.add c_batch_tiles n_tiles;
-    Telemetry.add c_words_simulated (Graph.num_ands g * wpc);
+    ignore
+      (run_tiles ~tile_words e g columns ~n
+         (fun arena ~tile_off ~top ~final_word:_ ~tmask:_ ->
+           for v = 0 to nv - 1 do
+             let base = v * tile_words in
+             let sg = Array.unsafe_get sigs v in
+             for k = 0 to top do
+               Words.set_word sg (tile_off + k)
+                 (Array.unsafe_get arena (base + k))
+             done
+           done;
+           true));
     sigs
 
   (* One engine per domain: arenas are reused across every evaluation the

@@ -13,7 +13,7 @@ val simulate : Graph.t -> Words.t array -> Words.t
 val simulate_all : Graph.t -> Words.t array -> Words.t array
 (** Like {!simulate} but returns the value vector of every variable
     (indexed by AIG variable; index 0 is the constant-false vector).
-    The naive oracle for {!Engine.signatures_batch}. *)
+    The naive oracle for {!Engine.signatures}. *)
 
 val random_patterns : Random.State.t -> num_inputs:int -> num_patterns:int -> Words.t array
 (** Fresh uniform input columns for [num_patterns] patterns. *)
@@ -23,19 +23,23 @@ val accuracy : Graph.t -> Words.t array -> Words.t -> float
     simulated output agrees with [expected]. *)
 
 (** Reusable zero-allocation simulation context: the one fused kernel
-    under every candidate evaluation.
+    under every circuit evaluation.
 
-    The engine simulates AIGs in cache-blocked tiles.  Each AND node is
-    compiled to a flat (dst var, fanin0, fanin1) int triple, and each tile
-    of [tile_words] 62-bit words per input column is loaded once into a
-    row-per-variable int arena.  Every candidate's AND/ANDNOT/NOR word
-    kernels then run over that tile while it is hot.  There is no
-    per-node allocation, and no per-tile allocation once the arena has
-    grown to the workload's high-water mark.  Results are bit-identical
-    to {!simulate_all} and {!accuracy}, which stay as the naive oracle.
+    The engine simulates one AIG per call in cache-blocked tiles.  Each
+    AND node is compiled to a flat (dst var, fanin0, fanin1) int triple,
+    and each tile of [tile_words] 62-bit words per input column is loaded
+    into a row-per-variable int arena, where the graph's AND/ANDNOT/NOR
+    word kernels run while it is hot.  There is no per-node allocation,
+    and no per-tile allocation once the arena has grown to the workload's
+    high-water mark.  Results are bit-identical to {!simulate_all} and
+    {!accuracy}, which stay as the naive oracle.  [tile_words] (default
+    {!default_tile_words}) is the tile width in 62-bit words; it must be
+    at least 1.
 
-    Every call adds (AND nodes x words simulated) to the
-    [engine.words_simulated] telemetry counter.
+    Every call is one [engine.batch] telemetry span, counts one
+    [engine.batch_candidates], adds (AND nodes x
+    words simulated) to [engine.words_simulated], and counts one
+    [engine.batch_early_exits] when it stopped before the last tile.
 
     Engines are single-owner mutable state: use one per domain (see
     {!for_domain}), never share one across domains. *)
@@ -49,57 +53,40 @@ module Engine : sig
       score many candidates reuse one arena per domain without sharing
       mutable state across domains, preserving jobs=1 ≡ jobs=N runs. *)
 
-  val disagreements_batch :
+  val disagreements :
     ?limit:int ->
     ?tile_words:int ->
-    ?chunk:int ->
     t ->
-    Graph.t array ->
+    Graph.t ->
     Words.t array ->
     expected:Words.t ->
-    int option array
-  (** Score a whole batch of candidate AIGs against shared input columns
-      in cache-blocked tiles: each tile of input/expected words is loaded
-      into the arena once and stays hot while every candidate's fused
-      kernels run over it ([chunk] candidates at a time, default
-      {!default_chunk}).  Result [i] is [Some d] with candidate [i]'s
-      exact disagreement count, or [None] once its running count exceeded
-      [limit] or the best completed count of an earlier chunk — pruning
-      requires a {e strictly} greater running count, so the minimum-count
-      candidate and every candidate tied with it always come back exact.
-      Folding the [Some]s in order therefore picks the same winner as an
-      incumbent loop over exact counts, at a fraction of the simulated
-      words.  A batch of one with no [limit] is the exact count of a
-      single graph.  All graphs must share the column count;
-      [tile_words] (default {!default_tile_words}) is the tile width in
-      62-bit words.  Allocates nothing per tile at steady state: arena,
-      code, and count buffers are engine state reused across calls. *)
+    int option
+  (** [Some d] with the exact number of patterns on which the graph's
+      output differs from [expected], or [None] once the running count
+      after some tile exceeds [limit] (default [max_int]): then the exact
+      count exceeds [limit] too, and the remaining tiles are skipped.
+      Pruning needs a {e strictly} greater count, so with [limit] set to
+      the best count so far, an incumbent loop over a portfolio gets
+      every candidate that beats or ties the incumbent back exact and
+      picks the same winner as a loop over exact counts.  The column
+      count must equal the graph's input count, and every column and
+      [expected] must have the same length. *)
 
-  val accuracy_batch :
-    ?tile_words:int ->
-    t ->
-    Graph.t array ->
-    Words.t array ->
-    expected:Words.t ->
-    float array
-  (** [disagreements_batch] run as a single chunk (no pruning can fire),
-      folded to accuracies: result [i] equals
-      [Sim.accuracy graphs.(i) columns expected] bit for bit. *)
+  val accuracy :
+    ?tile_words:int -> t -> Graph.t -> Words.t array -> expected:Words.t -> float
+  (** The fraction of patterns on which the output agrees with
+      [expected]: equals [Sim.accuracy g columns expected] bit for
+      bit. *)
 
-  val signatures_batch : ?tile_words:int -> t -> Graph.t -> Words.t array -> Words.t array
-  (** Tiled simulation of one graph that returns every variable's value
-      vector (index 0 is the constant-false vector, inputs are copies of
-      their columns): equals {!Sim.simulate_all} with fresh vectors
-      throughout.  Each row is extracted while its tile is hot, so the
-      full-width result is written exactly once; used by the SAT
-      sweeper's signature refreshes, repair's resubstitution and the
-      approximation pass. *)
+  val signatures : ?tile_words:int -> t -> Graph.t -> Words.t array -> Words.t array
+  (** Every variable's value vector (index 0 is the constant-false
+      vector, inputs are copies of their columns): equals
+      {!Sim.simulate_all} with fresh vectors throughout.  Each row is
+      extracted while its tile is hot, so the full-width result is
+      written exactly once; used by the SAT sweeper's signature
+      refreshes, repair's resubstitution and the approximation pass. *)
 
   val default_tile_words : int
-  (** Default tile width of the batched kernels, in 62-bit words; chosen
-      by the bench tile-size sweep (see EXPERIMENTS.md). *)
-
-  val default_chunk : int
-  (** Default number of candidates scored per tile pass between
-      early-exit limit updates. *)
+  (** Default tile width of the kernel, in 62-bit words; chosen by the
+      bench tile-size sweep (see EXPERIMENTS.md). *)
 end

@@ -89,7 +89,7 @@ let merge_pass ?settled ~num_patterns ~conflict_limit ~rounds ~seed ~stop s =
      exactly as the concatenated signature's bit 0 did before the
      split. *)
   let engine = Aig.Sim.Engine.for_domain () in
-  let base_sig = Aig.Sim.Engine.signatures_batch engine g base in
+  let base_sig = Aig.Sim.Engine.signatures engine g base in
   let base_phase = Array.map (fun w -> Words.get w 0) base_sig in
   let base_key =
     Array.mapi
@@ -101,10 +101,9 @@ let merge_pass ?settled ~num_patterns ~conflict_limit ~rounds ~seed ~stop s =
   while !again && !round < rounds && not !halted do
     incr round;
     again := false;
-    (* Counterexample signatures refresh each round on the same engine:
-       the column set changes every round, so the tiled batch path (one
-       full pass, all vectors out) beats watermark reuse here. *)
-    let cex_sig = Aig.Sim.Engine.signatures_batch engine g (cex_columns ()) in
+    (* Counterexample signatures refresh each round on the same engine
+       (one tiled pass, all vectors out). *)
+    let cex_sig = Aig.Sim.Engine.signatures engine g (cex_columns ()) in
     let tbl = WH2.create 257 in
     classes := 0;
     (* Structural mode: this round's reduced graph and, per variable of

@@ -490,9 +490,9 @@ let table5 config =
         in
         let aig = Nnet.Neuron_lut.to_aig ~num_inputs:k pruned in
         let after_synth =
-          ( Nnet.Neuron_lut.quantized_accuracy aig proj_train,
-            Nnet.Neuron_lut.quantized_accuracy aig proj_valid,
-            Nnet.Neuron_lut.quantized_accuracy aig proj_test )
+          ( Solver.evaluate aig proj_train,
+            Solver.evaluate aig proj_valid,
+            Solver.evaluate aig proj_test )
         in
         (initial, after_prune, after_synth))
       instances

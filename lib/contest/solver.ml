@@ -13,13 +13,12 @@ type t = {
 
 (* Scoring reuses this domain's simulation engine: candidate evaluation is
    the innermost loop of every solver, and the engine's arena makes it
-   allocation-free.  Routed through the batched tiled kernel (batch of
-   one) so every scoring path in the solver — including Cv fold scoring —
-   exercises the same code; bit-identical to [Aig.Sim.accuracy]. *)
+   allocation-free.  Every scoring path in the solver — including Cv fold
+   scoring — runs the same tiled kernel; bit-identical to
+   [Aig.Sim.accuracy]. *)
 let evaluate aig d =
-  let engine = Aig.Sim.Engine.for_domain () in
-  (Aig.Sim.Engine.accuracy_batch engine [| aig |] (Data.Dataset.columns d)
-     ~expected:(Data.Dataset.outputs d)).(0)
+  Aig.Sim.Engine.accuracy (Aig.Sim.Engine.for_domain ()) aig
+    (Data.Dataset.columns d) ~expected:(Data.Dataset.outputs d)
 
 let enforce_budget ?patterns ?(sweep = false) ~seed aig =
   let aig = Aig.Opt.cleanup aig in
@@ -71,28 +70,28 @@ let pick_best ?sweep ~valid candidates =
               ~seed:(Hashtbl.hash technique) aig ))
         candidates
     in
-    (* One batched, cache-blocked pass scores the whole portfolio: tiles
-       of validation words are loaded once and stay hot while every
-       candidate's fused kernels run over them, and the cross-chunk limit
-       abandons losing candidates after their first tiles.  Candidates
-       are compared on their disagreement COUNT rather than the accuracy
+    (* An incumbent loop over the tiled kernel: each candidate is scored
+       with the best count so far as its limit, so a loser is abandoned
+       after its first tiles of validation words.  Candidates are
+       compared on their disagreement COUNT rather than the accuracy
        float: with a fixed pattern count the orders coincide
-       ([acc = 1 - d/n] is strictly decreasing in [d]).  [Some] counts
-       are exact and the minimum always survives pruning, so the
-       lexicographic (count, gates) fold below — first seen wins exact
-       ties — picks the same winner as a fold over every exact
-       count. *)
-    let graphs = Array.of_list (List.map snd prepared) in
+       ([acc = 1 - d/n] is strictly decreasing in [d]).  Pruning needs a
+       strictly greater count than the incumbent's, so every candidate
+       that beats or ties it comes back exact, and the lexicographic
+       (count, gates) fold below — first seen wins exact ties — picks the
+       same winner as a fold over every exact count. *)
     let engine = Aig.Sim.Engine.for_domain () in
-    let counts =
-      Aig.Sim.Engine.disagreements_batch engine graphs columns ~expected
-    in
+    let limit = ref max_int in
     let best = ref None in
-    List.iteri
-      (fun i (technique, aig) ->
-        match counts.(i) with
-        | None -> () (* provably worse than a completed candidate *)
+    List.iter
+      (fun (technique, aig) ->
+        match
+          Aig.Sim.Engine.disagreements ~limit:!limit engine aig columns
+            ~expected
+        with
+        | None -> () (* provably worse than the incumbent *)
         | Some d -> (
+            limit := min !limit d;
             let gates = Aig.Graph.num_ands aig in
             match !best with
             | None -> best := Some (d, gates, technique, aig)
@@ -102,7 +101,7 @@ let pick_best ?sweep ~valid candidates =
       prepared;
     match !best with
     | Some (_, _, technique, aig) -> { aig; technique }
-    | None -> assert false (* the minimum count always survives pruning *)
+    | None -> assert false (* the first candidate always comes back exact *)
   end
 
 type guarded = {
@@ -174,22 +173,18 @@ let pareto_front ?(budgets = [ 30; 60; 125; 250; 500; 1000; 2000; 5000 ])
               end)
             budgets
         in
-        (* The candidate and its whole shrunken budget ladder score in a
-           single batched pass over the validation columns. *)
-        let ladder = (name, aig) :: shrunk in
-        let graphs = Array.of_list (List.map snd ladder) in
-        let accs =
-          Aig.Sim.Engine.accuracy_batch engine graphs columns ~expected
-        in
-        List.mapi
-          (fun i (source, circuit) ->
+        (* The candidate and every rung of its shrunken budget ladder
+           score exactly (no limit) on this domain's engine. *)
+        List.map
+          (fun (source, circuit) ->
             {
               gates = Aig.Graph.num_ands circuit;
-              accuracy = accs.(i);
+              accuracy =
+                Aig.Sim.Engine.accuracy engine circuit columns ~expected;
               source;
               circuit;
             })
-          ladder)
+          ((name, aig) :: shrunk))
       candidates
   in
   (* Keep the non-dominated points: scan by increasing gate count and keep

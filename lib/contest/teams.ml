@@ -701,6 +701,8 @@ let team10 =
 let all =
   [ team1; team2; team3; team4; team5; team6; team7; team8; team9; team10 ]
 
+let find name = List.find_opt (fun (t : Solver.t) -> t.Solver.name = name) all
+
 (* ------------------------------------------------------------------ *)
 (* CEGIS repair post-pass                                              *)
 (* ------------------------------------------------------------------ *)

@@ -58,6 +58,10 @@ val team10 : Solver.t
 val all : Solver.t list
 (** All ten, in team order. *)
 
+val find : string -> Solver.t option
+(** The team of {!all} with this name (["team1"] .. ["team10"]), if
+    any. *)
+
 (** {1 Building blocks}
 
     Exposed because the experiment drivers (Table IV/V/VI, Figs. 5-7,

@@ -39,11 +39,6 @@ let to_aig ?(max_fanin = 14) ~num_inputs net =
   Aig.Graph.set_output g (!signals).(0);
   Aig.Opt.cleanup g
 
-let quantized_accuracy g d =
-  let engine = Aig.Sim.Engine.for_domain () in
-  (Aig.Sim.Engine.accuracy_batch engine [| g |] (Data.Dataset.columns d)
-     ~expected:(Data.Dataset.outputs d)).(0)
-
 let enumerate_to_aig ?(max_inputs = 20) ~num_inputs net =
   if num_inputs > max_inputs then
     invalid_arg

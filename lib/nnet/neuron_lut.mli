@@ -11,9 +11,6 @@ val to_aig : ?max_fanin:int -> num_inputs:int -> Mlp.t -> Aig.Graph.t
 (** Raises [Invalid_argument] if any neuron's fan-in exceeds [max_fanin]
     (default 14). *)
 
-val quantized_accuracy : Aig.Graph.t -> Data.Dataset.t -> float
-(** Accuracy of a synthesized circuit on a dataset (simulation). *)
-
 val enumerate_to_aig : ?max_inputs:int -> num_inputs:int -> Mlp.t -> Aig.Graph.t
 (** Team 8's whole-network variant: enumerate every input assignment of
     the (unpruned, float) network, record the thresholded output, and

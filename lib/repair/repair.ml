@@ -215,13 +215,11 @@ let apply_cubes cand cubes =
 (* The loop                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* No limit given: the count is always [Some]. *)
 let errors_of engine g train =
-  match
-    Aig.Sim.Engine.disagreements_batch engine [| g |] (D.columns train)
-      ~expected:(D.outputs train)
-  with
-  | [| Some d |] -> d
-  | _ -> assert false (* no limit given: the count is always exact *)
+  Option.get
+    (Aig.Sim.Engine.disagreements engine g (D.columns train)
+       ~expected:(D.outputs train))
 
 (* Cleanup, then sweep, then approximate: whatever comes in, what goes
    into the loop respects the gate budget, so "at most [gate_budget]
@@ -348,7 +346,7 @@ let repair ?(config = default_config) ~train g0 =
           W.or_into ~dst:cex_mask cex_mask (cov_of ~full ~lit_col kept))
         cexs;
       let mask_pop = W.popcount cex_mask in
-      let sigs = Aig.Sim.Engine.signatures_batch engine !cand cols in
+      let sigs = Aig.Sim.Engine.signatures engine !cand cols in
       let o = G.output !cand in
       let out =
         if G.is_complemented o then W.lognot sigs.(G.var_of_lit o)

@@ -27,6 +27,11 @@ let with_budget b f =
   Domain.DLS.set key (Some b);
   Fun.protect ~finally:(fun () -> Domain.DLS.set key saved) f
 
+let run ?time_limit ?fuel f =
+  match with_budget (create ?time_limit ?fuel ()) f with
+  | v -> Some v
+  | exception Timed_out -> None
+
 let check () =
   match Domain.DLS.get key with
   | None -> ()

@@ -27,6 +27,13 @@ val with_budget : t -> (unit -> 'a) -> 'a
     budget of the current domain, restoring the previous ambient
     budget (if any) when [f] returns or raises. *)
 
+val run : ?time_limit:float -> ?fuel:int -> (unit -> 'a) -> 'a option
+(** [run ?time_limit ?fuel f] runs [f ()] under a fresh budget
+    ([create ?time_limit ?fuel ()] installed by {!with_budget}):
+    [Some v] when it returns [v], [None] when the budget expired.  For
+    callers whose fallback on expiry is their own, not a {!Guard}
+    retry. *)
+
 val check : unit -> unit
 (** Poll point for long-running loops.  Decrements the ambient
     budget's fuel and, every 64th call, compares the wall clock

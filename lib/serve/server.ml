@@ -159,11 +159,6 @@ let bad_request msg =
     [ ("code", Json.Str "bad_request"); ("message", Json.Str msg) ],
     Errored )
 
-let solver_of_name name =
-  List.find_opt
-    (fun (t : Contest.Solver.t) -> t.Contest.Solver.name = name)
-    Contest.Teams.all
-
 let parse_pla what text =
   match Data.Pla.to_dataset (Data.Pla.parse text) with
   | d -> Ok d
@@ -178,18 +173,11 @@ let parse_aag what text =
   | exception Aig.Io.Parse_error { line; msg } ->
       Error (Printf.sprintf "bad %s AAG: line %d: %s" what line msg)
 
-(* Budgets for the non-solve operations: solve goes through
-   Solver.solve_guarded (budget + crash retry + constant fallback);
-   eval/verify only need the deadline, with the degraded response as
-   their fallback. *)
-let under_budget ?time_limit ?fuel f =
-  let b = Resil.Budget.create ?time_limit ?fuel () in
-  match Resil.Budget.with_budget b f with
-  | v -> Ok v
-  | exception Resil.Budget.Timed_out -> Error ()
-
+(* Solve goes through Solver.solve_guarded (budget + crash retry +
+   constant fallback); its optional passes and eval/verify run under
+   [Resil.Budget.run], each with its own fallback on expiry. *)
 let handle_solve t (s : P.solve) =
-  match solver_of_name s.P.team with
+  match Contest.Teams.find s.P.team with
   | None -> bad_request (Printf.sprintf "unknown team %S" s.P.team)
   | Some solver -> (
       let valid_r =
@@ -263,17 +251,17 @@ let handle_solve t (s : P.solve) =
                 let aig, technique =
                   if s.P.repair && not degraded then
                     match
-                      under_budget ?time_limit:deadline ?fuel (fun () ->
+                      Resil.Budget.run ?time_limit:deadline ?fuel (fun () ->
                           Repair.repair ~train aig)
                     with
-                    | Ok (repaired, st) ->
+                    | Some (repaired, st) ->
                         ( repaired,
                           if
                             st.Repair.train_errors_after
                             < st.Repair.train_errors_before
                           then technique ^ "+repair"
                           else technique )
-                    | Error () -> (aig, technique)
+                    | None -> (aig, technique)
                   else (aig, technique)
                 in
                 (* The optional exact sweep runs under its own copy of the
@@ -282,13 +270,13 @@ let handle_solve t (s : P.solve) =
                 let aig =
                   if s.P.sweep && not degraded then
                     match
-                      under_budget ?time_limit:deadline ?fuel (fun () ->
+                      Resil.Budget.run ?time_limit:deadline ?fuel (fun () ->
                           Contest.Solver.enforce_budget
                             ~patterns:(D.columns valid) ~sweep:true
                             ~seed:s.P.seed aig)
                     with
-                    | Ok swept -> swept
-                    | Error () -> aig
+                    | Some swept -> swept
+                    | None -> aig
                   else aig
                 in
                 let payload =
@@ -355,14 +343,14 @@ let handle_eval t (e : P.eval) =
         let clean = Aig.Opt.cleanup g in
         let gates = Aig.Graph.num_ands clean in
         match
-          under_budget ?time_limit ?fuel (fun () ->
+          Resil.Budget.run ?time_limit ?fuel (fun () ->
               Contest.Solver.evaluate g d)
         with
-        | Error () ->
+        | None ->
             ( "degraded",
               [ ("op", Json.Str "eval"); ("reason", Json.Str "deadline") ],
               Degraded )
-        | Ok acc ->
+        | Some acc ->
             ( "result",
               [
                 ("op", Json.Str "eval");
@@ -395,14 +383,14 @@ let handle_verify t (v : P.verify) =
           match v.P.v_fuel with Some _ as x -> x | None -> t.cfg.default_fuel
         in
         match
-          under_budget ?time_limit ?fuel (fun () ->
+          Resil.Budget.run ?time_limit ?fuel (fun () ->
               Cec.equivalent_stats ~conflict_limit:v.P.v_conflicts ga gb)
         with
-        | Error () ->
+        | None ->
             ( "degraded",
               [ ("op", Json.Str "verify"); ("reason", Json.Str "deadline") ],
               Degraded )
-        | Ok (result, st) ->
+        | Some (result, st) ->
             let stats =
               Json.Obj
                 [

@@ -313,14 +313,14 @@ let prop_engine_matches_simulate =
       let expected = Words.random st n in
       let e = Engine.create () in
       let o = G.output g in
-      let row = (Engine.signatures_batch e g columns).(G.var_of_lit o) in
+      let row = (Engine.signatures e g columns).(G.var_of_lit o) in
       let out = if G.is_complemented o then Words.lognot row else row in
       Words.equal (Aig.Sim.simulate g columns) out
-      && [| Aig.Sim.accuracy g columns expected |]
-         = Engine.accuracy_batch e [| g |] columns ~expected)
+      && Aig.Sim.accuracy g columns expected
+         = Engine.accuracy e g columns ~expected)
 
 let prop_signatures_match_oracle =
-  QCheck.Test.make ~count:100 ~name:"signatures_batch equals simulate_all"
+  QCheck.Test.make ~count:100 ~name:"signatures equals simulate_all"
     (QCheck.make QCheck.Gen.(int_bound 1000))
     (fun seed ->
       let st = Random.State.make [| 0x51c; seed |] in
@@ -347,7 +347,7 @@ let prop_signatures_match_oracle =
       let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
       let tile_words = 1 + Random.State.int st 6 in
       let oracle = Aig.Sim.simulate_all g columns in
-      let sigs = Engine.signatures_batch ~tile_words (Engine.create ()) g columns in
+      let sigs = Engine.signatures ~tile_words (Engine.create ()) g columns in
       Array.length sigs = Array.length oracle
       && Array.for_all2 Words.equal sigs oracle)
 
@@ -368,15 +368,14 @@ let prop_engine_early_exit =
         Words.popcount (Words.logxor (Aig.Sim.simulate g columns) expected)
       in
       let limit = Random.State.int st (n + 1) in
-      Engine.disagreements_batch e [| g |] columns ~expected = [| Some exact |]
+      Engine.disagreements e g columns ~expected = Some exact
       &&
-      match Engine.disagreements_batch ~limit e [| g |] columns ~expected with
-      | [| Some d |] -> d = exact && exact <= limit
-      | [| None |] -> exact > limit
-      | _ -> false)
+      match Engine.disagreements ~limit e g columns ~expected with
+      | Some d -> d = exact && exact <= limit
+      | None -> exact > limit)
 
 (* ------------------------------------------------------------------ *)
-(* Batched (tiled) candidate evaluation                                *)
+(* Tiled candidate evaluation                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_batch_edges () =
@@ -386,50 +385,45 @@ let test_batch_edges () =
   let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
   let expected = Words.random st n in
   let e = Engine.create () in
-  (* Empty batch. *)
-  check_int "empty batch" 0
-    (Array.length (Engine.disagreements_batch e [||] columns ~expected));
-  (* Single candidate: equals the naive oracle bit for bit. *)
+  (* One graph: equals the naive oracle bit for bit. *)
   let g = random_graph st ~num_inputs ~num_nodes:30 in
-  let accs = Engine.accuracy_batch e [| g |] columns ~expected in
-  check_int "single candidate count" 1 (Array.length accs);
   Alcotest.(check (float 1e-12))
-    "single candidate accuracy"
+    "single graph accuracy"
     (Aig.Sim.accuracy g columns expected)
-    accs.(0);
+    (Engine.accuracy e g columns ~expected);
   (* Early-exit caller-limit edge: limit = d keeps the exact count,
      limit = d - 1 prunes. *)
   let d =
-    match Engine.disagreements_batch e [| g |] columns ~expected with
-    | [| Some d |] -> d
-    | _ -> Alcotest.fail "expected one exact count"
+    match Engine.disagreements e g columns ~expected with
+    | Some d -> d
+    | None -> Alcotest.fail "expected an exact count"
   in
-  (match Engine.disagreements_batch ~limit:d e [| g |] columns ~expected with
-  | [| Some d' |] -> check_int "limit = d stays exact" d d'
-  | _ -> Alcotest.fail "limit = d must not prune");
+  (match Engine.disagreements ~limit:d e g columns ~expected with
+  | Some d' -> check_int "limit = d stays exact" d d'
+  | None -> Alcotest.fail "limit = d must not prune");
   if d > 0 then begin
-    match
-      Engine.disagreements_batch ~limit:(d - 1) e [| g |] columns ~expected
-    with
-    | [| None |] -> ()
-    | _ -> Alcotest.fail "limit = d - 1 must prune"
+    match Engine.disagreements ~limit:(d - 1) e g columns ~expected with
+    | None -> ()
+    | Some _ -> Alcotest.fail "limit = d - 1 must prune"
   end;
-  (* Differing node counts in one batch, including a constant (0 ANDs). *)
+  (* Differing node counts on one engine, including a constant (0 ANDs):
+     the arena and code buffers are reused across shapes. *)
   let const = G.create ~num_inputs () in
   G.set_output const G.const_true;
   let big = random_graph st ~num_inputs ~num_nodes:120 in
-  let batch = [| const; g; big |] in
-  let accs = Engine.accuracy_batch e batch columns ~expected in
-  Array.iteri
+  List.iteri
     (fun i gi ->
       Alcotest.(check (float 1e-12))
-        (Printf.sprintf "ragged batch member %d" i)
+        (Printf.sprintf "ragged member %d" i)
         (Aig.Sim.accuracy gi columns expected)
-        accs.(i))
-    batch
+        (Engine.accuracy e gi columns ~expected))
+    [ const; g; big ];
+  Alcotest.check_raises "tile_words >= 1"
+    (Invalid_argument "Sim.Engine: tile_words must be >= 1") (fun () ->
+      ignore (Engine.disagreements ~tile_words:0 e g columns ~expected))
 
-let prop_batch_matches_sequential =
-  QCheck.Test.make ~count:100 ~name:"batched evaluation equals sequential"
+let prop_incumbent_matches_sequential =
+  QCheck.Test.make ~count:100 ~name:"incumbent pick equals sequential"
     (QCheck.make QCheck.Gen.(int_bound 1000))
     (fun seed ->
       let st = Random.State.make [| 0xbab; seed |] in
@@ -440,69 +434,76 @@ let prop_batch_matches_sequential =
             random_graph st ~num_inputs
               ~num_nodes:(1 + Random.State.int st 80))
       in
+      (* An exact duplicate of a random member ties it on count and gates:
+         whichever copy is scored first must win. *)
+      let graphs =
+        Array.append graphs [| graphs.(Random.State.int st ncand) |]
+      in
       let n = 1 + Random.State.int st 400 in
       let columns = Aig.Sim.random_patterns st ~num_inputs ~num_patterns:n in
       let expected = Words.random st n in
       let e = Engine.create () in
       let tile_words = 1 + Random.State.int st 6 in
-      let chunk = 1 + Random.State.int st 4 in
-      (* accuracy_batch: bit-identical to the naive oracle per candidate. *)
-      let accs = Engine.accuracy_batch ~tile_words e graphs columns ~expected in
       let accs_ok =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i g -> accs.(i) = Aig.Sim.accuracy g columns expected)
-             graphs)
+        Array.for_all
+          (fun g ->
+            Engine.accuracy ~tile_words e g columns ~expected
+            = Aig.Sim.accuracy g columns expected)
+          graphs
       in
-      (* disagreements_batch: every Some is the exact count, every None
-         exceeds the global minimum, and the (count, gates) fold picks
-         the same winner as an incumbent loop over the oracle counts. *)
       let exact =
         Array.map
           (fun g ->
             Words.popcount (Words.logxor (Aig.Sim.simulate g columns) expected))
           graphs
       in
-      let min_d = Array.fold_left min max_int exact in
-      let counts =
-        Engine.disagreements_batch ~tile_words ~chunk e graphs columns
-          ~expected
-      in
-      let counts_ok =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i c ->
-               match c with
-               | Some d -> d = exact.(i)
-               | None -> exact.(i) > min_d)
-             counts)
-      in
-      let fold_winner of_i =
+      (* The lexicographic (count, gates) fold, first seen wins exact
+         ties; [None] counts are skipped. *)
+      let fold order count =
         let best = ref None in
-        Array.iteri
-          (fun i c ->
-            match c with
+        Array.iter
+          (fun i ->
+            match count i with
             | None -> ()
             | Some d -> (
                 let gates = G.num_ands graphs.(i) in
                 match !best with
                 | Some (bd, bg, _) when d > bd || (d = bd && gates >= bg) -> ()
-                | _ -> best := Some (d, G.num_ands graphs.(i), of_i i)))
-          counts;
+                | _ -> best := Some (d, gates, i)))
+          order;
         match !best with Some (_, _, i) -> i | None -> -1
       in
-      let sequential_winner =
-        let best = ref None in
-        Array.iteri
-          (fun i g ->
-            let d = exact.(i) and gates = G.num_ands g in
-            match !best with
-            | Some (bd, bg, _) when d > bd || (d = bd && gates >= bg) -> ()
-            | _ -> best := Some (d, gates, i))
-          graphs;
-        match !best with Some (_, _, i) -> i | None -> -1
+      (* [Solver.pick_best]'s loop: each graph is scored with the best
+         count so far as its limit.  Every [Some] must be exact and every
+         [None] must exceed the incumbent's count. *)
+      let incumbent order =
+        let limit = ref max_int and ok = ref true in
+        let winner =
+          fold order (fun i ->
+              let c =
+                Engine.disagreements ~limit:!limit ~tile_words e graphs.(i)
+                  columns ~expected
+              in
+              (match c with
+              | Some d ->
+                  if d <> exact.(i) then ok := false;
+                  limit := min !limit d
+              | None -> if exact.(i) <= !limit then ok := false);
+              c)
+        in
+        !ok && winner = fold order (fun i -> Some exact.(i))
       in
-      accs_ok && counts_ok && fold_winner Fun.id = sequential_winner)
+      let forward = Array.init (Array.length graphs) Fun.id in
+      let reversed = Array.of_list (List.rev (Array.to_list forward)) in
+      (* The sequential winner scored last: nothing before it can be
+         pruned by it. *)
+      let winner_last =
+        let w = fold forward (fun i -> Some exact.(i)) in
+        Array.append
+          (Array.of_list (List.filter (( <> ) w) (Array.to_list forward)))
+          [| w |]
+      in
+      accs_ok && List.for_all incumbent [ forward; reversed; winner_last ])
 
 let test_batch_gc_steady () =
   (* At steady state the tiled kernel must not allocate per tile: once
@@ -520,7 +521,11 @@ let test_batch_gc_steady () =
   let small_cols, small_exp = mk 62 (* one word: a single tile *) in
   let big_cols, big_exp = mk (62 * 16 * 12) (* 12 default-width tiles *) in
   let e = Engine.create () in
-  let run cols exp = ignore (Engine.disagreements_batch e graphs cols ~expected:exp) in
+  let run cols exp =
+    Array.iter
+      (fun g -> ignore (Engine.disagreements e g cols ~expected:exp))
+      graphs
+  in
   (* Warm both shapes so arena growth is behind us. *)
   run big_cols big_exp;
   run small_cols small_exp;
@@ -613,5 +618,5 @@ let suites =
       @ List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ prop_cleanup; prop_import; prop_balance_preserves_function;
             prop_engine_matches_simulate; prop_signatures_match_oracle;
-            prop_engine_early_exit; prop_batch_matches_sequential;
+            prop_engine_early_exit; prop_incumbent_matches_sequential;
             prop_import_skips_unreachable ] ) ]

@@ -88,7 +88,7 @@ let test_neuron_lut_agrees_with_quantized_net () =
   let aig = Nnet.Neuron_lut.to_aig ~num_inputs:4 pruned in
   (* The circuit must compute the layer-wise quantized network; check that
      it stays close to the float network on the training table. *)
-  let acc = Nnet.Neuron_lut.quantized_accuracy aig d in
+  let acc = Aig.Sim.accuracy aig (D.columns d) (D.outputs d) in
   check_bool "synthesis keeps accuracy" true
     (acc >= M.accuracy pruned d -. 0.25);
   check_int "correct inputs" 4 (Aig.Graph.num_inputs aig)

@@ -34,7 +34,11 @@ let test_budget_fuel () =
            done;
            false)
      with B.Timed_out -> true);
-  check_int "exactly the fuel allowance ran" 5 !burned
+  check_int "exactly the fuel allowance ran" 5 !burned;
+  (* [run] maps expiry to [None] and completion to [Some]. *)
+  check_bool "run expires" true
+    (B.run ~fuel:5 (fun () -> for _ = 1 to 100 do B.check () done) = None);
+  check_bool "run completes" true (B.run ~fuel:5 (fun () -> B.check (); 7) = Some 7)
 
 let test_budget_deadline () =
   (* A deadline already in the past fires at the next wall-clock read,
